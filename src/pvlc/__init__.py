@@ -37,6 +37,7 @@ from .link import (
     detect_pam4,
     encode_pam4,
     receive,
+    receive_levels,
     run_link,
     shot_noise_sigma,
     symbol_statistics,

@@ -247,6 +247,24 @@ MODEL_CARD_FIELDS = {"cell_count", "n", "i0", "eta", "temperature", "fit"}
 MODEL_CARD_FIT_FIELDS = {"rmse", "converged"}
 
 
+def atomic_write_text(destination, text):
+    """Write UTF-8 text through a temp file in the same directory.
+
+    `os.replace` swaps it in, so readers see the old file or the new one,
+    never a partial write.
+    """
+    destination = Path(destination)
+    fd, tmp = tempfile.mkstemp(dir=destination.parent or Path("."), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, destination)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model_card(spec: ModuleSpec, fit: FitResult, destination):
     """Write a fitted module description as JSON, atomically."""
     card = {
@@ -257,17 +275,7 @@ def save_model_card(spec: ModuleSpec, fit: FitResult, destination):
         "temperature": spec.params.temperature,
         "fit": {"rmse": fit.rmse, "converged": fit.converged},
     }
-    destination = Path(destination)
-    fd, tmp = tempfile.mkstemp(dir=destination.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(card, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp, destination)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(destination, json.dumps(card, indent=2) + "\n")
 
 
 def load_model_card(source) -> ModuleSpec:
@@ -287,10 +295,16 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
     if not (isinstance(card["fit"]["rmse"], (int, float)) and card["fit"]["rmse"] >= 0):
         raise ValueError("model card rmse must be >= 0")
+    # JSON true/false parse as bool, a subclass of int: reject them too.
+    if isinstance(card["cell_count"], bool) or not isinstance(card["cell_count"], int):
+        raise SchemaError(f"model card cell_count must be an integer, got {card['cell_count']!r}")
+    for key in ("n", "i0", "eta", "temperature"):
+        if isinstance(card[key], bool) or not isinstance(card[key], (int, float)):
+            raise SchemaError(f"model card {key} must be a number, got {card[key]!r}")
     params = PVCellParams(
         n=float(card["n"]),
         i0=float(card["i0"]),
         eta=float(card["eta"]),
         temperature=float(card["temperature"]),
     )
-    return ModuleSpec(cell_count=int(card["cell_count"]), params=params)
+    return ModuleSpec(cell_count=card["cell_count"], params=params)

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__, experiments
@@ -20,6 +21,7 @@ from .calibration import (
     DegenerateDataError,
     ParseError,
     SchemaError,
+    atomic_write_text,
     fit_response,
     load_model_card,
     load_samples,
@@ -27,7 +29,9 @@ from .calibration import (
     to_i0,
 )
 from .device import ModuleSpec, PVCellParams
-from .link import LinkConfig, run_link, tx_waveform, receive, ac_couple, encode_pam4, training_sequence, LEVELS
+# `receive` is unused here but stays importable as pvlc.cli.receive: the
+# traced CLI session in perfbench/workload.py wraps that attribute.
+from .link import LinkConfig, ac_couple, bits_to_levels, receive, receive_levels, run_link, training_sequence  # noqa: F401
 from .experiments import export_eye, write_csv, write_eye_csv, CSV_HEADERS
 from .seeding import payload_bits
 
@@ -142,7 +146,7 @@ def _require_file(path_str, what):
 def _link_config(merged):
     defaults = LinkConfig()
     shot = defaults.shot_noise_enabled if merged.get("no_shot") is None else not merged["no_shot"]
-    pick = lambda key, fallback: fallback if merged.get(key) is None else merged[key]
+    pick = partial(_given, merged)
     if merged.get("seed") is None:
         raise ValueError("an explicit --seed (or config 'seed') is required")
     return LinkConfig(
@@ -167,16 +171,15 @@ def _write_manifest(directory, merged, extra=None):
     manifest["version"] = __version__
     if extra:
         manifest.update(extra)
-    path = Path(directory) / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
+    atomic_write_text(Path(directory) / "run_manifest.json", json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _cmd_fit(merged):
     samples_path = _require_file(merged["samples"], "samples CSV")
-    cells = merged.get("cells") or 1
-    temp = merged.get("temp") or 300.0
-    eta = merged.get("eta") or DEFAULT_ETA
-    out = Path(merged.get("out") or "model.json")
+    cells = _positive(merged, "cells", 1)
+    temp = _positive(merged, "temp", 300.0, float)
+    eta = _positive(merged, "eta", DEFAULT_ETA, float)
+    out = Path(_given(merged, "out", "model.json"))
     samples = load_samples(samples_path)
     fit = fit_response(samples, cells, temp)
     if not fit.converged:
@@ -200,8 +203,8 @@ def _cmd_simulate(merged):
     model_path = _require_file(merged["model"], "model card")
     spec = load_model_card(model_path)
     config = _link_config(merged)
-    n_symbols = merged.get("payload_symbols") or experiments.PAYLOAD_SYMBOLS
-    payload = payload_bits(2 * int(n_symbols), config.seed)
+    n_symbols = _positive(merged, "payload_symbols", experiments.PAYLOAD_SYMBOLS)
+    payload = payload_bits(2 * n_symbols, config.seed)
     report = run_link(config, spec, payload)
     print(json.dumps(asdict(report)))
     return 0
@@ -211,17 +214,17 @@ def _cmd_sweep(merged):
     kind = merged["kind"]
     model_path = _require_file(merged["model"], "model card")
     spec = load_model_card(model_path)
-    out_dir = Path(merged.get("out_dir") or ".")
+    reps = _positive(merged, "reps", experiments.REPETITIONS)
+    jobs = _positive(merged, "jobs", 1)
+    payload_symbols = _positive(merged, "payload_symbols", experiments.PAYLOAD_SYMBOLS)
+    out_dir = Path(_given(merged, "out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    reps = merged.get("reps") or experiments.REPETITIONS
-    jobs = merged.get("jobs") or 1
-    payload_symbols = merged.get("payload_symbols") or experiments.PAYLOAD_SYMBOLS
 
     if kind in ("response", "derivatives"):
-        lux_max = merged.get("lux_max") or 2000.0
-        lux_step = merged.get("lux_step") or 10.0
+        lux_max = _given(merged, "lux_max", 2000.0)
+        lux_step = _positive(merged, "lux_step", 10.0, float)
         grid = np.arange(0.0, lux_max + lux_step / 2, lux_step)
-        cells = _parse_list(merged.get("cells_list"), int) or experiments.RESPONSE_CELL_COUNTS
+        cells = _parse_list(merged, "cells_list", int, experiments.RESPONSE_CELL_COUNTS)
         if kind == "response":
             rows = experiments.sweep_response(grid, cells, spec)
         else:
@@ -229,48 +232,74 @@ def _cmd_sweep(merged):
         write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)
     elif kind == "ber_vs_m":
         config = _link_config(merged)
-        m_grid = _parse_list(merged.get("m_grid"), float) or experiments.M_GRID
-        illum = _parse_list(merged.get("illuminances"), float) or experiments.BER_VS_M_ILLUMINANCES
+        m_grid = _parse_list(merged, "m_grid", float, experiments.M_GRID)
+        illum = _parse_list(merged, "illuminances", float, experiments.BER_VS_M_ILLUMINANCES)
         rows = experiments.sweep_ber_vs_m(m_grid, illum, config, spec, reps, payload_symbols, jobs)
         write_csv(out_dir / "ber_vs_m.csv", CSV_HEADERS[kind], rows)
     elif kind == "ber_vs_dcl":
         config = _link_config(merged)
-        dcl_grid = _parse_list(merged.get("dcl_grid"), float) or experiments.DCL_GRID
-        m_list = _parse_list(merged.get("dcl_m_list"), float) or experiments.DCL_M_LIST
+        dcl_grid = _parse_list(merged, "dcl_grid", float, experiments.DCL_GRID)
+        m_list = _parse_list(merged, "dcl_m_list", float, experiments.DCL_M_LIST)
         rows = experiments.sweep_ber_vs_dcl(dcl_grid, m_list, config, spec, reps, payload_symbols, jobs)
         write_csv(out_dir / "ber_vs_dcl.csv", CSV_HEADERS[kind], rows)
     elif kind == "postdist":
         if merged.get("tx_dc") is None:
             merged["tx_dc"] = experiments.POSTDIST_TX_LUX
         config = _link_config(merged)
-        m_grid = _parse_list(merged.get("m_grid"), float) or experiments.POSTDIST_M_GRID
-        gain_cap = merged.get("gain_cap") or 4.0
+        m_grid = _parse_list(merged, "m_grid", float, experiments.POSTDIST_M_GRID)
+        gain_cap = _positive(merged, "gain_cap", 4.0, float)
         rows = experiments.sweep_postdistortion(m_grid, config, spec, gain_cap, reps, payload_symbols, jobs)
         write_csv(out_dir / "postdist.csv", CSV_HEADERS[kind], rows)
     else:  # eye
         config = _link_config(merged)
-        traces = merged.get("traces") or 64
-        rng = np.random.default_rng(config.seed)
+        traces = _positive(merged, "traces", 64)
         train = training_sequence(config)
         n_payload = max(2 * traces + 8, 256)
-        payload = payload_bits(2 * n_payload, config.seed)
-        symbols = np.concatenate([LEVELS[train], encode_pam4(payload)])
-        v = ac_couple(receive(tx_waveform(symbols, config) + config.dcl_lux + config.ambient_lux, spec, config, rng))
+        levels = np.concatenate([train, bits_to_levels(payload_bits(2 * n_payload, config.seed))])
+        v = ac_couple(receive_levels(levels, spec, config, np.random.default_rng(config.seed)))
         eye = export_eye(v[len(train) * config.samples_per_symbol :], config.samples_per_symbol, traces)
         write_eye_csv(eye, out_dir / "eye.csv")
     _write_manifest(out_dir, merged)
     return 0
 
 
-def _parse_list(text, conv):
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _given(merged, key, default):
+    """The flag's value, or `default` only when the flag was not given."""
+    value = merged.get(key)
+    return default if value is None else value
+
+
+def _positive(merged, key, default, kind=int):
+    """A count or scale flag: `default` when not given, else a number > 0.
+
+    Zero, negative and wrongly typed values (a config file can hold any
+    JSON) are rejected, never replaced by the default.
+    """
+    value = _given(merged, key, default)
+    types = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or not value > 0:
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{_flag(key)} must be a positive {noun}, got {value!r}")
+    return value
+
+
+def _parse_list(merged, key, conv, default):
+    """A comma list flag (or a JSON list from the config file); never empty."""
+    text = merged.get(key)
     if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return [conv(x) for x in text]
+        return default
     try:
-        return [conv(x) for x in str(text).split(",") if x.strip()]
-    except ValueError:
-        raise ValueError(f"could not parse list {text!r}") from None
+        items = text if isinstance(text, (list, tuple)) else [x for x in str(text).split(",") if x.strip()]
+        values = [conv(x) for x in items]
+    except (TypeError, ValueError):
+        raise ValueError(f"{_flag(key)}: could not parse list {text!r}") from None
+    if not values:
+        raise ValueError(f"{_flag(key)} must not be empty")
+    return values
 
 
 if __name__ == "__main__":

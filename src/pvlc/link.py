@@ -4,6 +4,13 @@ Pipeline: bits -> Gray-mapped PAM4 symbols -> rectangular NRZ illuminance
 waveform -> additive DC light sources -> samplewise OE conversion with
 thermal and shot noise -> DC removal -> trained symbol slicer -> bits.
 
+Rectangular NRZ puts only four illuminances on the receiver, one per PAM4
+level, so `run_link` evaluates the OE voltage and the noise variance once
+per level (a level table) and gathers them by symbol, instead of once per
+sample as the public `receive` does.  Both paths apply the same operations
+to the same values and draw the same normals, so the waveform, and with it
+every error count, is bit-identical; tests compare the two.
+
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
 receiver amplification that the otherwise open-circuit voltage model does
@@ -24,6 +31,7 @@ FEC_BER_THRESHOLD = 2.0e-2
 # The permutation is self-inverse, so the same table encodes and decodes.
 GRAY = np.array([0, 1, 3, 2])
 LEVELS = (2.0 * np.arange(4) - 3.0) / 3.0   # -1, -1/3, +1/3, +1
+_BIT_COUNT = np.array([0, 1, 1, 2])          # set bits in a dibit value 0..3
 
 
 class DetectionError(RuntimeError):
@@ -107,10 +115,14 @@ def _check_bits(bits):
     return bits.astype(np.int64)
 
 
+def _dibits(bits):
+    """Checked bits to dibit values 0..3, first bit most significant."""
+    return 2 * bits[0::2] + bits[1::2]
+
+
 def bits_to_levels(bits):
     """Gray-map bit pairs to level indices 0..3 (00,01,11,10 in order)."""
-    bits = _check_bits(bits)
-    return GRAY[2 * bits[0::2] + bits[1::2]]
+    return GRAY[_dibits(_check_bits(bits))]
 
 
 def levels_to_bits(level_indices):
@@ -164,6 +176,15 @@ def _single_pole_lowpass(v, cutoff_hz, sample_rate):
     return out
 
 
+def _voltage_and_variance(l_rx, spec: ModuleSpec, config: LinkConfig):
+    """Noiseless module voltage and noise variance at each illuminance."""
+    v = module_voltage(l_rx, spec)
+    variance = np.full(l_rx.shape, config.thermal_sigma_v**2)
+    if config.shot_noise_enabled:
+        variance = variance + shot_noise_sigma(l_rx, spec, config) ** 2
+    return v, variance
+
+
 def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     """Samplewise OE conversion plus noise.
 
@@ -171,15 +192,39 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     applied to the noiseless voltage; noise is added after it.
     """
     l_rx = np.asarray(l_rx, dtype=float)
-    v = module_voltage(l_rx, spec)
+    v, variance = _voltage_and_variance(l_rx, spec, config)
     if config.lpf_cutoff_hz is not None:
         v = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
-    variance = np.full(l_rx.shape, config.thermal_sigma_v**2)
-    if config.shot_noise_enabled:
-        variance = variance + shot_noise_sigma(l_rx, spec, config) ** 2
     if not variance.any():
         return v
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
+
+
+def receive_levels(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
+    """Received voltage waveform for a sequence of PAM4 level indices.
+
+    Bit-identical to ``receive(channel(tx_waveform(LEVELS[level_indices],
+    config), config), spec, config, rng)``, with the OE voltage and the
+    noise computed once per level and gathered per symbol.
+    """
+    level_indices = np.asarray(level_indices, dtype=np.int64)
+    sps = config.samples_per_symbol
+    level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
+    v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
+    v = np.repeat(v_level[level_indices], sps)
+    if config.lpf_cutoff_hz is not None:
+        v = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
+    sigma = np.sqrt(variance_level)[level_indices]
+    if not sigma.any():
+        return v
+    # receive's v + z * sigma, evaluated in place: the draws come in the
+    # same order and IEEE multiplication and addition commute, so every
+    # sample carries the same bits.
+    out = rng.standard_normal((level_indices.size, sps))
+    out *= sigma[:, None]
+    out = out.ravel()
+    out += v
+    return out
 
 
 def ac_couple(v):
@@ -220,19 +265,23 @@ def train_slicer(stats, training_levels):
     return centroids, thresholds
 
 
+def _detect_levels(v, config: LinkConfig, training_levels):
+    """Payload level indices sliced by a slicer trained on the first symbols."""
+    stats = symbol_statistics(v, config.samples_per_symbol)
+    n_train = len(training_levels)
+    if stats.size < n_train:
+        raise ValueError("waveform shorter than the training sequence")
+    _, thresholds = train_slicer(stats[:n_train], training_levels)
+    return np.searchsorted(thresholds, stats[n_train:])
+
+
 def detect_pam4(v, config: LinkConfig, training_levels):
     """Slice a received voltage waveform back to payload bits.
 
     The first len(training_levels) symbols are known to the receiver and
     used to train the slicer; only payload bits are returned.
     """
-    stats = symbol_statistics(v, config.samples_per_symbol)
-    n_train = len(training_levels)
-    if stats.size < n_train:
-        raise ValueError("waveform shorter than the training sequence")
-    _, thresholds = train_slicer(stats[:n_train], training_levels)
-    payload_idx = np.searchsorted(thresholds, stats[n_train:])
-    return levels_to_bits(payload_idx)
+    return levels_to_bits(_detect_levels(v, config, training_levels))
 
 
 def training_sequence(config: LinkConfig):
@@ -247,21 +296,21 @@ def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=Non
     `postprocess`, when given, is applied to the AC-coupled voltage
     waveform before detection (used for receiver-side compensation).
     Deterministic for a fixed config (the RNG derives from config.seed).
+    Errors are counted per symbol: a decision costs as many bits as its
+    Gray code differs from the sent dibit in.
     """
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
         raise ValueError("payload must contain at least one bit pair")
-    rng = np.random.default_rng(config.seed)
+    sent = _dibits(payload_bits)
     train = training_sequence(config)
-    symbols = np.concatenate([LEVELS[train], encode_pam4(payload_bits)])
-    tx = tx_waveform(symbols, config)
-    l_rx = channel(tx, config)
-    v = receive(l_rx, spec, config, rng)
+    levels = np.concatenate([train, GRAY[sent]])
+    v = receive_levels(levels, spec, config, np.random.default_rng(config.seed))
     v = ac_couple(v)
     if postprocess is not None:
         v = postprocess(v)
-    detected = detect_pam4(v, config, train)
-    errors = int(np.count_nonzero(detected != payload_bits))
+    detected = _detect_levels(v, config, train)
+    errors = int(_BIT_COUNT[GRAY[detected] ^ sent].sum())
     return BerReport.from_counts(payload_bits.size, errors)
 
 

@@ -211,6 +211,18 @@ class TestModelCard:
         with pytest.raises(ValueError):
             load_model_card(json.dumps(card).encode())
 
+    @pytest.mark.parametrize("field,value", [
+        ("cell_count", 1.7), ("cell_count", 2.0), ("cell_count", True), ("cell_count", "2"),
+        ("n", "1.5"), ("temperature", False), ("i0", None),
+    ])
+    def test_non_numeric_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        card[field] = value
+        with pytest.raises(SchemaError, match=field):
+            load_model_card(json.dumps(card).encode())
+
     def test_not_json(self):
         with pytest.raises(SchemaError):
             load_model_card(b"not json at all")

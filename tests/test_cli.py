@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from pvlc import calibration
 from pvlc.cli import main
 from pvlc.calibration import load_model_card
 from pvlc.device import K_B, Q_E
@@ -135,6 +136,65 @@ class TestSweep:
     def test_ber_sweep_needs_seed(self, model_json, tmp_path, capsys):
         code = main(["sweep", "ber_vs_m", str(model_json), "--out-dir", str(tmp_path)])
         assert code == 2
+
+
+class TestBoundary:
+    """Zero, negative or mistyped counts are rejected, never swapped for defaults."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--cells", "0"), ("--temp", "0"), ("--eta", "0"), ("--cells", "-2"),
+    ])
+    def test_fit_rejects(self, samples_csv, tmp_path, capsys, flag, value):
+        code = main(["fit", str(samples_csv), "--out", str(tmp_path / "m.json"), flag, value])
+        assert code == 2
+        assert f"{flag} must be a positive" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_simulate_rejects_zero_payload(self, model_json, capsys):
+        code = main(["simulate", str(model_json), "--seed", "1", "--payload-symbols", "0"])
+        assert code == 2
+        assert "--payload-symbols must be a positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("ber_vs_m", "--reps", "0"),
+        ("ber_vs_m", "--payload-symbols", "0"),
+        ("ber_vs_m", "--jobs", "0"),
+        ("ber_vs_m", "--jobs", "-3"),
+        ("eye", "--traces", "0"),
+        ("postdist", "--gain-cap", "0"),
+        ("response", "--lux-step", "0"),
+        ("ber_vs_m", "--m-grid", ","),
+    ])
+    def test_sweep_rejects(self, model_json, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "out"
+        code = main(["sweep", kind, str(model_json), "--out-dir", str(out), "--seed", "1", flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("value", [0, 2.5, "3", True])
+    def test_config_file_value_rejected(self, model_json, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": value}))
+        code = main(["sweep", "ber_vs_m", str(model_json), "--config", str(cfg), "--seed", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "--reps must be a positive integer" in capsys.readouterr().err
+
+    def test_manifest_written_atomically(self, model_json, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        argv = ["sweep", "response", str(model_json), "--out-dir", str(out), "--lux-max", "20"]
+        assert main(argv) == 0
+        before = (out / "run_manifest.json").read_bytes()
+
+        def fail(*_args):
+            raise OSError("disk full")
+
+        # a write that fails before the swap leaves the old manifest whole
+        monkeypatch.setattr(calibration.os, "replace", fail)
+        assert main(argv + ["--lux-step", "5"]) == 2
+        assert (out / "run_manifest.json").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["response.csv", "run_manifest.json"]
 
 
 class TestEntryPoint:

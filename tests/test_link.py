@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
     FEC_BER_THRESHOLD,
@@ -13,12 +14,14 @@ from pvlc.link import (
     DetectionError,
     LinkConfig,
     ac_couple,
+    bits_to_levels,
     channel,
     decode_pam4,
     detect_pam4,
     encode_pam4,
     export_waveform_csv,
     receive,
+    receive_levels,
     run_link,
     shot_noise_sigma,
     symbol_statistics,
@@ -303,6 +306,80 @@ class TestRunLink:
             variance += counts[level] * (float(cell_probs @ h**2) - mean_err**2)
         tolerance = 3.0 * np.sqrt(variance)
         assert abs(measured_errors - expected_bits) <= tolerance
+
+
+def samplewise_pipeline(config, payload, postprocess=None):
+    """run_link built by hand from the public per-sample stages.
+
+    Returns the received waveform (before AC coupling) and the payload
+    bit-error count.
+    """
+    train = training_sequence(config)
+    symbols = np.concatenate([LEVELS[train], encode_pam4(payload)])
+    l_rx = channel(tx_waveform(symbols, config), config)
+    received = receive(l_rx, MODULE, config, np.random.default_rng(config.seed))
+    v = ac_couple(received)
+    if postprocess is not None:
+        v = postprocess(v)
+    errors = int(np.count_nonzero(detect_pam4(v, config, train) != payload))
+    return received, errors
+
+
+LEVEL_TABLE_CASES = [
+    {},
+    {"lpf_cutoff_hz": 2.5e5},
+    {"ambient_lux": 40.0, "dcl_lux": 300.0},
+    {"ambient_lux": 40.0, "dcl_lux": 300.0, "lpf_cutoff_hz": 2.5e5},
+    {"shot_noise_enabled": False},
+    {"shot_noise_enabled": False, "thermal_sigma_v": 0.0},
+    {"shot_noise_enabled": False, "thermal_sigma_v": 0.0, "lpf_cutoff_hz": 2.5e5},
+    {"samples_per_symbol": 2},
+    {"samples_per_symbol": 3, "lpf_cutoff_hz": 2.5e5},
+    {"samples_per_symbol": 8, "mod_index": 1.0},
+    # level 0 receives no light: zero shot variance on that level only
+    {"mod_index": 1.0, "thermal_sigma_v": 0.0},
+]
+
+
+class TestLevelTable:
+    """run_link's per-level receiver against the samplewise pipeline."""
+
+    def config(self, overrides):
+        return LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 31, **overrides})
+
+    @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
+    def test_waveform_bit_identical(self, overrides):
+        config = self.config(overrides)
+        payload = payload_bits(4000, 5)
+        reference, _ = samplewise_pipeline(config, payload)
+        levels = np.concatenate([training_sequence(config), bits_to_levels(payload)])
+        gathered = receive_levels(levels, MODULE, config, np.random.default_rng(config.seed))
+        assert np.array_equal(gathered, reference)
+
+    @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
+    def test_error_count_identical(self, overrides):
+        config = self.config(overrides)
+        payload = payload_bits(40_000, 6)
+        _, errors = samplewise_pipeline(config, payload)
+        report = run_link(config, MODULE, payload)
+        assert report.bits_errored == errors
+        assert report.bits_total == payload.size
+
+    @pytest.mark.parametrize("lpf", [None, 2.5e5])
+    def test_error_count_identical_with_postprocess(self, lpf):
+        config = self.config({"mod_index": 0.2, "lpf_cutoff_hz": lpf})
+        payload = payload_bits(40_000, 7)
+        cfg = PostDistortionConfig(operating_lux=config.tx_dc_lux, gain_cap=4.0)
+        postprocess = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+        _, errors = samplewise_pipeline(config, payload, postprocess)
+        assert errors > 0
+        assert run_link(config, MODULE, payload, postprocess=postprocess).bits_errored == errors
+
+    def test_run_link_checks_bits(self):
+        with pytest.raises(ValueError, match="even"):
+            run_link(quiet_config(), MODULE, [0, 1, 1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_link(quiet_config(), MODULE, [0, 2])
 
 
 class TestExport:
