@@ -11,6 +11,7 @@ unidentifiable data), 2 usage or validation error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -39,6 +40,7 @@ import numpy as np
 
 SWEEP_KINDS = ("response", "derivatives", "ber_vs_m", "ber_vs_dcl", "postdist", "eye")
 DEFAULT_ETA = 2e-9  # A/lux, assumed conversion factor when none is calibrated
+POSITIONALS = {"command", "kind", "model", "samples"}   # not settable from a config file
 
 
 def main(argv=None):
@@ -116,7 +118,11 @@ def _add_link_flags(cmd):
 
 
 def _merge_config(args):
-    """Overlay CLI flags on the optional JSON config; flags win."""
+    """Overlay CLI flags on the optional JSON config; flags win.
+
+    Every file key must name an option of the command, so a misspelt key
+    fails instead of being ignored.
+    """
     merged = dict(vars(args))
     config_path = merged.pop("config", None)
     if config_path:
@@ -129,8 +135,11 @@ def _merge_config(args):
             raise ValueError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
+        flags = set(merged) - POSITIONALS
         for key, value in file_values.items():
             key = key.replace("-", "_")
+            if key not in flags:
+                raise ValueError(f"unknown config file key {key!r} for 'pvlc {merged['command']}'")
             if merged.get(key) is None:
                 merged[key] = value
     return merged
@@ -145,23 +154,23 @@ def _require_file(path_str, what):
 
 def _link_config(merged):
     defaults = LinkConfig()
-    shot = defaults.shot_noise_enabled if merged.get("no_shot") is None else not merged["no_shot"]
-    pick = partial(_given, merged)
     if merged.get("seed") is None:
         raise ValueError("an explicit --seed (or config 'seed') is required")
+    number = partial(_typed, merged, kind=float)
+    integer = partial(_typed, merged, kind=int)
     return LinkConfig(
-        bit_rate=pick("bit_rate", defaults.bit_rate),
-        samples_per_symbol=pick("sps", defaults.samples_per_symbol),
-        mod_index=pick("mod_index", defaults.mod_index),
-        tx_dc_lux=pick("tx_dc", defaults.tx_dc_lux),
-        dcl_lux=pick("dcl", defaults.dcl_lux),
-        ambient_lux=pick("ambient", defaults.ambient_lux),
-        thermal_sigma_v=pick("thermal_sigma", defaults.thermal_sigma_v),
-        shot_noise_enabled=shot,
-        noise_bandwidth_hz=pick("noise_bandwidth", defaults.noise_bandwidth_hz),
-        lpf_cutoff_hz=merged.get("lpf_cutoff"),
-        training_symbols=pick("training", defaults.training_symbols),
-        seed=int(merged["seed"]),
+        bit_rate=number("bit_rate", defaults.bit_rate),
+        samples_per_symbol=integer("sps", defaults.samples_per_symbol),
+        mod_index=number("mod_index", defaults.mod_index),
+        tx_dc_lux=number("tx_dc", defaults.tx_dc_lux),
+        dcl_lux=number("dcl", defaults.dcl_lux),
+        ambient_lux=number("ambient", defaults.ambient_lux),
+        thermal_sigma_v=number("thermal_sigma", defaults.thermal_sigma_v),
+        shot_noise_enabled=not _typed(merged, "no_shot", not defaults.shot_noise_enabled, bool),
+        noise_bandwidth_hz=number("noise_bandwidth", defaults.noise_bandwidth_hz),
+        lpf_cutoff_hz=None if merged.get("lpf_cutoff") is None else number("lpf_cutoff", None),
+        training_symbols=integer("training", defaults.training_symbols),
+        seed=integer("seed", None),
     )
 
 
@@ -221,7 +230,7 @@ def _cmd_sweep(merged):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if kind in ("response", "derivatives"):
-        lux_max = _given(merged, "lux_max", 2000.0)
+        lux_max = _positive(merged, "lux_max", 2000.0, float)
         lux_step = _positive(merged, "lux_step", 10.0, float)
         grid = np.arange(0.0, lux_max + lux_step / 2, lux_step)
         cells = _parse_list(merged, "cells_list", int, experiments.RESPONSE_CELL_COUNTS)
@@ -284,6 +293,27 @@ def _positive(merged, key, default, kind=int):
     if isinstance(value, bool) or not isinstance(value, types) or not value > 0:
         noun = "integer" if kind is int else "number"
         raise ValueError(f"{_flag(key)} must be a positive {noun}, got {value!r}")
+    return value
+
+
+def _typed(merged, key, default, kind):
+    """A link flag of type `kind` (int, float or bool), `default` when not given.
+
+    A config file can hold any JSON, so its values are checked here, where
+    a wrong type gets a message naming the flag; numbers must be finite.
+    """
+    value = _given(merged, key, default)
+    if kind is bool:
+        valid = isinstance(value, bool)
+    elif isinstance(value, bool):
+        valid = False
+    elif kind is int:
+        valid = isinstance(value, int)
+    else:
+        valid = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if not valid:
+        noun = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
+        raise ValueError(f"{_flag(key)} must be {noun}, got {value!r}")
     return value
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import ModuleSpec, first_derivative, inverse_voltage, module_voltage
+from .device import ModuleSpec, first_derivative, module_voltage
 from .link import LinkConfig, run_link
 from .seeding import payload_bits, point_seed
 
@@ -62,14 +62,22 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
     p = spec.params
+    scale = spec.cell_count * p.n * p.v_t
     v_dc = module_voltage(cfg.operating_lux, spec)
     # Capping v at v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
     # local gain at gain_cap times the operating-point gain.
-    v_ceiling = v_dc + spec.cell_count * p.n * p.v_t * np.log(cfg.gain_cap)
-    v_total = np.clip(v_ac + v_dc, 0.0, v_ceiling)
-    lux_hat = inverse_voltage(v_total, spec)
-    slope = first_derivative(cfg.operating_lux, spec, "exact")
-    return (lux_hat - lux_hat.mean()) * slope
+    v_ceiling = v_dc + scale * np.log(cfg.gain_cap)
+    # inverse_voltage on the clipped total, then re-centring and scaling,
+    # each step in place on one new array: the same operations in the same
+    # order, so the same bits.
+    out = v_ac + v_dc
+    np.clip(out, 0.0, v_ceiling, out=out)
+    out /= scale
+    np.expm1(out, out=out)
+    out *= p.i0 / p.eta
+    out -= out.mean()
+    out *= first_derivative(cfg.operating_lux, spec, "exact")
+    return out
 
 
 def optimize_dcl(base_config: LinkConfig, spec: ModuleSpec, dcl_grid, payload=None):

@@ -9,6 +9,7 @@ median BER.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .device import (
     module_voltage,
     second_derivative,
 )
-from .link import FEC_BER_THRESHOLD, LinkConfig, run_link
+from .link import FEC_BER_THRESHOLD, LinkConfig, _run_link
 from .seeding import payload_bits, point_seed
 
 # Committed defaults for reproducing the study's sweep families.
@@ -81,30 +82,43 @@ def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec, form: str = "exac
     return rows
 
 
-def _ber_cell(args):
-    """One link run; module-level so process pools can pickle it.
+@lru_cache(maxsize=1)
+def _payload(n_bits, base_seed):
+    """The sweep payload, built once per worker process and kept read-only."""
+    bits = payload_bits(n_bits, base_seed)
+    bits.flags.writeable = False
+    return bits
 
-    The payload travels as (n_bits, base_seed) and is regenerated in the
-    worker, which is cheaper than shipping the bit array itself.
+
+def _ber_cell(args):
+    """BERs of one link realization; module-level so process pools can pickle it.
+
+    The payload travels as (n_bits, base_seed) and comes from a per-worker
+    cache, which is cheaper than shipping the bit array itself.  The cell
+    returns one BER per entry of `postdist_cfgs`: None is the plain
+    receiver, a PostDistortionConfig the post-distorted one, and all are
+    detected from the same noisy waveform.
     """
-    config, spec, n_bits, base_seed, postdist_cfg = args
-    payload = payload_bits(n_bits, base_seed)
-    postprocess = None
-    if postdist_cfg is not None:
-        postprocess = lambda v: post_distort(v, spec, postdist_cfg)
-    return run_link(config, spec, payload, postprocess=postprocess).ber
+    config, spec, n_bits, base_seed, postdist_cfgs = args
+    postprocesses = [
+        None if cfg is None else partial(post_distort, spec=spec, cfg=cfg) for cfg in postdist_cfgs
+    ]
+    reports = _run_link(config, spec, _payload(n_bits, base_seed), postprocesses)
+    return tuple(report.ber for report in reports)
 
 
 def _run_cells(cells, n_jobs):
+    """Per-cell BER tuples as an array of shape (cells, entries)."""
     if n_jobs <= 1:
-        return [_ber_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_ber_cell, cells, chunksize=1))
+        results = [_ber_cell(c) for c in cells]
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = list(pool.map(_ber_cell, cells, chunksize=1))
+    return np.asarray(results, dtype=float)
 
 
 def _median_over_reps(bers, repetitions):
-    grouped = np.asarray(bers, dtype=float).reshape(-1, repetitions)
-    return np.median(grouped, axis=1)
+    return np.median(bers.reshape(-1, repetitions), axis=1)
 
 
 def ber_point_config(base_config: LinkConfig, tx_dc_lux, mod_index, dcl_lux, rep):
@@ -136,7 +150,7 @@ def sweep_ber_vs_m(
         raise ValueError("repetitions must be >= 1")
     cells = [
         (ber_point_config(base_config, tx, m, base_config.dcl_lux, rep), spec,
-         2 * payload_symbols, base_config.seed, None)
+         2 * payload_symbols, base_config.seed, (None,))
         for tx in illuminance_list
         for m in m_grid
         for rep in range(repetitions)
@@ -165,7 +179,7 @@ def sweep_ber_vs_dcl(
     m_list = _check_grid(m_list, "m_list")
     cells = [
         (ber_point_config(base_config, base_config.tx_dc_lux, m, dcl, rep), spec,
-         2 * payload_symbols, base_config.seed, None)
+         2 * payload_symbols, base_config.seed, (None,))
         for m in m_list
         for dcl in dcl_grid
         for rep in range(repetitions)
@@ -184,7 +198,12 @@ def sweep_postdistortion(
     payload_symbols: int = PAYLOAD_SYMBOLS,
     n_jobs: int = 1,
 ):
-    """Plain versus post-distorted BER on identical noise realizations."""
+    """Plain versus post-distorted BER on identical noise realizations.
+
+    Each (m, rep) cell builds one noisy waveform and slices it twice, once
+    as received and once post-distorted, so the two columns differ only by
+    the compensation.
+    """
     m_grid = _check_grid(m_grid, "m_grid")
     cells = []
     for m in m_grid:
@@ -192,9 +211,8 @@ def sweep_postdistortion(
             config = ber_point_config(base_config, base_config.tx_dc_lux, m, base_config.dcl_lux, rep)
             operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
             postdist = PostDistortionConfig(operating_lux=operating, gain_cap=gain_cap)
-            cells.append((config, spec, 2 * payload_symbols, base_config.seed, None))
-            cells.append((config, spec, 2 * payload_symbols, base_config.seed, postdist))
-    bers = np.asarray(_run_cells(cells, n_jobs), dtype=float).reshape(len(m_grid), repetitions, 2)
+            cells.append((config, spec, 2 * payload_symbols, base_config.seed, (None, postdist)))
+    bers = _run_cells(cells, n_jobs).reshape(len(m_grid), repetitions, 2)
     rows = []
     for m, pair in zip(m_grid, bers):
         plain = float(np.median(pair[:, 0]))

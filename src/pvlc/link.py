@@ -7,9 +7,17 @@ thermal and shot noise -> DC removal -> trained symbol slicer -> bits.
 Rectangular NRZ puts only four illuminances on the receiver, one per PAM4
 level, so `run_link` evaluates the OE voltage and the noise variance once
 per level (a level table) and gathers them by symbol, instead of once per
-sample as the public `receive` does.  Both paths apply the same operations
-to the same values and draw the same normals, so the waveform, and with it
-every error count, is bit-identical; tests compare the two.
+sample as the public `receive` does.  The noisy waveform is built in place
+as a (symbols, samples_per_symbol) array: the normals are drawn into it,
+scaled by each symbol's sigma and offset by its level voltage, with no
+repeated voltage array.  AC coupling is fused with the slicer: the plain
+receiver subtracts the waveform mean only from the central samples it
+averages.  One realization serves the plain receiver and any number of
+post-processed ones (`_run_link`), so a plain/compensated comparison sees
+the same noise.  Every step applies the same operations to the same
+values as the samplewise `receive` -> `ac_couple` -> `detect_pam4`
+pipeline and draws the same normals, so every error count is
+bit-identical; tests compare the two.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -110,9 +118,14 @@ def _check_bits(bits):
     bits = np.asarray(bits)
     if bits.size % 2 != 0:
         raise ValueError(f"bit count must be even, got {bits.size}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ValueError("bits must be 0 or 1")
-    return bits.astype(np.int64)
+    if bits.size:
+        if bits.dtype.kind in "biu":
+            binary = bits.min() >= 0 and bits.max() <= 1
+        else:
+            binary = np.isin(bits, (0, 1)).all()
+        if not binary:
+            raise ValueError("bits must be 0 or 1")
+    return bits.astype(np.int64, copy=False)
 
 
 def _dibits(bits):
@@ -200,6 +213,29 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
+def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
+    """`receive_levels` as a (symbols, samples_per_symbol) array, built in place."""
+    sps = config.samples_per_symbol
+    level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
+    v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
+    v = v_level[level_indices][:, None]
+    if config.lpf_cutoff_hz is not None:
+        v = _single_pole_lowpass(np.repeat(v, sps), config.lpf_cutoff_hz, config.sample_rate)
+        v = v.reshape(-1, sps)
+    sigma = np.sqrt(variance_level)[level_indices]
+    out = np.empty((level_indices.size, sps))
+    if not sigma.any():
+        out[:] = v
+        return out
+    # receive's v + z * sigma, evaluated in place: the draws come in the
+    # same order and IEEE multiplication and addition commute, so every
+    # sample carries the same bits.
+    rng.standard_normal(out=out)
+    out *= sigma[:, None]
+    out += v
+    return out
+
+
 def receive_levels(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
     """Received voltage waveform for a sequence of PAM4 level indices.
 
@@ -208,23 +244,7 @@ def receive_levels(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
     noise computed once per level and gathered per symbol.
     """
     level_indices = np.asarray(level_indices, dtype=np.int64)
-    sps = config.samples_per_symbol
-    level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
-    v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
-    v = np.repeat(v_level[level_indices], sps)
-    if config.lpf_cutoff_hz is not None:
-        v = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
-    sigma = np.sqrt(variance_level)[level_indices]
-    if not sigma.any():
-        return v
-    # receive's v + z * sigma, evaluated in place: the draws come in the
-    # same order and IEEE multiplication and addition commute, so every
-    # sample carries the same bits.
-    out = rng.standard_normal((level_indices.size, sps))
-    out *= sigma[:, None]
-    out = out.ravel()
-    out += v
-    return out
+    return _received(level_indices, spec, config, rng).ravel()
 
 
 def ac_couple(v):
@@ -265,14 +285,44 @@ def train_slicer(stats, training_levels):
     return centroids, thresholds
 
 
-def _detect_levels(v, config: LinkConfig, training_levels):
+def _slice(stats, training_levels):
     """Payload level indices sliced by a slicer trained on the first symbols."""
-    stats = symbol_statistics(v, config.samples_per_symbol)
     n_train = len(training_levels)
     if stats.size < n_train:
         raise ValueError("waveform shorter than the training sequence")
     _, thresholds = train_slicer(stats[:n_train], training_levels)
-    return np.searchsorted(thresholds, stats[n_train:])
+    payload = stats[n_train:]
+    t0, t1, t2 = thresholds
+    if not t0 <= t1 <= t2:
+        # searchsorted's answer on unsorted thresholds depends on the order
+        # of the keys; keep it so every decision matches detect_pam4's.
+        return np.searchsorted(thresholds, payload)
+    # the number of thresholds below x: searchsorted(side="left") on
+    # sorted thresholds, without the binary search
+    return (payload > t0).astype(np.intp) + (payload > t1) + (payload > t2)
+
+
+def _detect_levels(v, config: LinkConfig, training_levels):
+    return _slice(symbol_statistics(v, config.samples_per_symbol), training_levels)
+
+
+def _central_means(v, mu):
+    """symbol_statistics(v.ravel() - mu, sps) for a (symbols, sps) array.
+
+    Only the central samples are shifted, and below 8 terms numpy's mean
+    sums sequentially, so adding the columns one by one gives the same
+    values without a full-size temporary.
+    """
+    sps = v.shape[1]
+    lo = sps // 4
+    hi = sps - lo
+    if hi - lo >= 8:   # numpy sums 8 or more terms pairwise
+        return (v[:, lo:hi] - mu).mean(axis=1)
+    total = v[:, lo] - mu
+    for k in range(lo + 1, hi):
+        total += v[:, k] - mu
+    total /= hi - lo
+    return total
 
 
 def detect_pam4(v, config: LinkConfig, training_levels):
@@ -299,19 +349,44 @@ def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=Non
     Errors are counted per symbol: a decision costs as many bits as its
     Gray code differs from the sent dibit in.
     """
+    return _run_link(config, spec, payload_bits, [postprocess])[0]
+
+
+def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses):
+    """One BerReport per entry of `postprocesses`, all from one realization.
+
+    An entry of None is the plain receiver; any other entry is applied to
+    the AC-coupled waveform, which it must not modify (it is read-only).
+    The plain decisions are made before any postprocess runs.
+    """
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
         raise ValueError("payload must contain at least one bit pair")
     sent = _dibits(payload_bits)
     train = training_sequence(config)
     levels = np.concatenate([train, GRAY[sent]])
-    v = receive_levels(levels, spec, config, np.random.default_rng(config.seed))
-    v = ac_couple(v)
-    if postprocess is not None:
-        v = postprocess(v)
-    detected = _detect_levels(v, config, train)
-    errors = int(_BIT_COUNT[GRAY[detected] ^ sent].sum())
-    return BerReport.from_counts(payload_bits.size, errors)
+    v = _received(levels, spec, config, np.random.default_rng(config.seed))
+    mu = v.ravel().mean()   # ac_couple's mean: the same pairwise sum
+
+    def report(stats):
+        detected = _slice(stats, train)
+        errors = int(_BIT_COUNT[GRAY[detected] ^ sent].sum())
+        return BerReport.from_counts(payload_bits.size, errors)
+
+    plain = None
+    if any(p is None for p in postprocesses):
+        plain = report(_central_means(v, mu))
+    if all(p is None for p in postprocesses):
+        return [plain] * len(postprocesses)
+    v -= mu
+    v_ac = v.ravel()
+    v_ac.flags.writeable = False
+
+    def processed(postprocess):
+        out = np.asarray(postprocess(v_ac), dtype=float).reshape(v.shape)
+        return report(_central_means(out, 0.0))
+
+    return [plain if p is None else processed(p) for p in postprocesses]
 
 
 def export_waveform_csv(v, destination):

@@ -181,6 +181,53 @@ class TestBoundary:
         assert code == 2
         assert "--reps must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values,flag", [
+        ({"seed": 1, "mod_index": "0.3"}, "--mod-index"),
+        ({"seed": 1, "tx_dc": None, "dcl": [1]}, "--dcl"),
+        ({"seed": 1, "lpf_cutoff": "fast"}, "--lpf-cutoff"),
+        ({"seed": 1, "sps": 8.0}, "--sps"),
+        ({"seed": 1, "training": True}, "--training"),
+        ({"seed": "1"}, "--seed"),
+        ({"seed": 1.5}, "--seed"),
+        ({"seed": 1, "no_shot": 1}, "--no-shot"),
+    ])
+    def test_config_file_link_value_rejected(self, model_json, tmp_path, capsys, values, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(["simulate", str(model_json), "--config", str(cfg), "--payload-symbols", "500"])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--dcl", "--mod-index", "--thermal-sigma"])
+    def test_non_finite_link_flag_rejected(self, model_json, capsys, flag):
+        code = main(["simulate", str(model_json), "--seed", "1", flag, "nan"])
+        assert code == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", 0, -5.0, True])
+    def test_config_file_lux_max_rejected(self, model_json, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lux_max": value}))
+        out = tmp_path / "out"
+        code = main(["sweep", "response", str(model_json), "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 2
+        assert "--lux-max must be a positive number" in capsys.readouterr().err
+        assert not (out / "response.csv").exists()
+
+    @pytest.mark.parametrize("key", ["modindex", "model", "config", "reps"])
+    def test_unknown_config_key_rejected(self, model_json, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: 0.3}))
+        code = main(["simulate", str(model_json), "--config", str(cfg), "--payload-symbols", "500"])
+        assert code == 2
+        assert f"unknown config file key {key!r}" in capsys.readouterr().err
+
+    def test_hyphenated_config_keys_accepted(self, model_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "payload-symbols": 500, "thermal-sigma": 0.0, "no-shot": True}))
+        assert main(["simulate", str(model_json), "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["bits_total"] == 1000
+
     def test_manifest_written_atomically(self, model_json, tmp_path, monkeypatch):
         out = tmp_path / "out"
         argv = ["sweep", "response", str(model_json), "--out-dir", str(out), "--lux-max", "20"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pvlc.compensation import PostDistortionConfig, optimize_dcl, post_distort
-from pvlc.device import ModuleSpec, PVCellParams, first_derivative, module_voltage
+from pvlc.device import ModuleSpec, PVCellParams, first_derivative, inverse_voltage, module_voltage
 from pvlc.link import LEVELS, LinkConfig, ac_couple, run_link, symbol_statistics, train_slicer, training_sequence, tx_waveform
 from pvlc.seeding import payload_bits, point_seed
 
@@ -64,6 +64,23 @@ class TestPostDistort:
             PostDistortionConfig(operating_lux=0.0)
         with pytest.raises(ValueError):
             PostDistortionConfig(operating_lux=100.0, gain_cap=0.5)
+
+
+    @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
+    def test_matches_reference_formula(self, gain_cap):
+        """The in-place steps give the formula's bits and leave the input alone."""
+        rng = np.random.default_rng(5)
+        v_ac = ac_couple(module_voltage(rng.uniform(50.0, 900.0, 4096), MODULE) + rng.normal(0, 2e-3, 4096))
+        before = v_ac.copy()
+        cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=gain_cap)
+        p = MODULE.params
+        v_dc = module_voltage(350.0, MODULE)
+        ceiling = v_dc + MODULE.cell_count * p.n * p.v_t * np.log(gain_cap)
+        lux_hat = inverse_voltage(np.clip(v_ac + v_dc, 0.0, ceiling), MODULE)
+        expected = (lux_hat - lux_hat.mean()) * first_derivative(350.0, MODULE, "exact")
+        v_ac.flags.writeable = False
+        assert np.array_equal(post_distort(v_ac, MODULE, cfg), expected)
+        assert np.array_equal(v_ac, before)
 
 
 class TestOptimizeDcl:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams
 from pvlc.experiments import (
+    _payload,
     CSV_HEADERS,
     ber_point_config,
     export_eye,
@@ -124,6 +126,39 @@ class TestBerSweeps:
         assert len(rows) == 1
         m, plain, comp = rows[0]
         assert m == 0.3 and plain >= 0.0 and comp >= 0.0
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_postdist_pair_equals_separate_runs(self, n_jobs):
+        """Sharing one realization per cell gives the BERs of two separate run_link calls."""
+        config = base_config(tx_dc_lux=350.0)
+        m_grid = [0.2, 0.3]
+        rows = sweep_postdistortion(m_grid, config, MODULE, gain_cap=4.0, n_jobs=n_jobs, **FAST)
+        payload = payload_bits(2 * FAST["payload_symbols"], config.seed)
+        expected = []
+        for m in m_grid:
+            pairs = []
+            for rep in range(FAST["repetitions"]):
+                point = ber_point_config(config, config.tx_dc_lux, m, config.dcl_lux, rep)
+                cfg = PostDistortionConfig(operating_lux=point.tx_dc_lux, gain_cap=4.0)
+                post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+                pairs.append((run_link(point, MODULE, payload).ber,
+                              run_link(point, MODULE, payload, postprocess=post).ber))
+            plain, compensated = np.median(pairs, axis=0)
+            expected.append((m, float(plain), float(compensated)))
+        assert rows == expected
+        assert all(plain > 0 and compensated > 0 for _, plain, compensated in rows)
+
+    def test_payload_cache_keys_on_length_and_seed(self):
+        _payload.cache_clear()
+        first = _payload(1000, 1)
+        assert _payload(1000, 1) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, payload_bits(1000, 1))
+        other_seed = _payload(1000, 2)
+        assert np.array_equal(other_seed, payload_bits(1000, 2))
+        assert not np.array_equal(other_seed, first)
+        longer = _payload(2000, 1)
+        assert longer.size == 2000 and np.array_equal(longer, payload_bits(2000, 1))
 
     def test_grid_validation(self):
         config = base_config()

@@ -7,6 +7,9 @@ from scipy import stats as sp_stats
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
+    _central_means,
+    _run_link,
+    _slice,
     FEC_BER_THRESHOLD,
     GRAY,
     LEVELS,
@@ -68,6 +71,38 @@ class TestMapping:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             encode_pam4([0, 2])
+
+
+class TestCheckBits:
+    """Integer and bool bits get a min/max check, other dtypes np.isin."""
+
+    @pytest.mark.parametrize("bits", [
+        np.array([0, 1, 1, 0]),
+        np.array([0, 1, 1, 0], dtype=np.uint8),
+        np.array([False, True, True, False]),
+        np.array([0.0, 1.0, 1.0, 0.0]),
+        [0, 1, 1, 0],
+    ])
+    def test_binary_accepted(self, bits):
+        assert np.array_equal(bits_to_levels(bits), [GRAY[1], GRAY[2]])
+
+    @pytest.mark.parametrize("bits", [
+        np.array([0, 2]),
+        np.array([0, -1]),
+        np.array([255, 0], dtype=np.uint8),
+        np.array([0.0, 0.5]),
+        np.array([0.0, np.nan]),
+    ])
+    def test_non_binary_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bits_to_levels(bits)
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_link(quiet_config(), MODULE, bits)
+
+    @pytest.mark.parametrize("bits", [np.array([0, 1, 1]), np.array([True]), np.array([1.0, 0.0, 1.0])])
+    def test_odd_count_rejected(self, bits):
+        with pytest.raises(ValueError, match="even"):
+            bits_to_levels(bits)
 
 
 class TestTxWaveform:
@@ -338,6 +373,12 @@ LEVEL_TABLE_CASES = [
     {"samples_per_symbol": 8, "mod_index": 1.0},
     # level 0 receives no light: zero shot variance on that level only
     {"mod_index": 1.0, "thermal_sigma_v": 0.0},
+    {"samples_per_symbol": 2, "lpf_cutoff_hz": 2.5e5},
+    {"samples_per_symbol": 3},
+    {"samples_per_symbol": 3, "shot_noise_enabled": False, "thermal_sigma_v": 0.0},
+    # 8 central samples or more: numpy's mean sums them pairwise
+    {"samples_per_symbol": 16},
+    {"samples_per_symbol": 20, "lpf_cutoff_hz": 2.5e5},
 ]
 
 
@@ -380,6 +421,53 @@ class TestLevelTable:
             run_link(quiet_config(), MODULE, [0, 1, 1])
         with pytest.raises(ValueError, match="0 or 1"):
             run_link(quiet_config(), MODULE, [0, 2])
+
+    @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
+    def test_fused_statistics_bit_identical(self, overrides):
+        """AC coupling fused with the slicer's means equals ac_couple then symbol_statistics."""
+        config = self.config(overrides)
+        sps = config.samples_per_symbol
+        payload = payload_bits(4000, 8)
+        received, _ = samplewise_pipeline(config, payload)
+        v = received.reshape(-1, sps)
+        reference = symbol_statistics(ac_couple(received), sps)
+        assert np.array_equal(_central_means(v, v.ravel().mean()), reference)
+        assert np.array_equal(_central_means(v, 0.0), symbol_statistics(received, sps))
+
+    def test_counting_slicer_matches_searchsorted(self):
+        rng = np.random.default_rng(3)
+        train = training_sequence(quiet_config())
+        for centroids in ([-1.0, -0.2, 0.3, 1.0], [1.0, 0.0, 0.0, 3.0], [0.0, 0.5, 0.5, 1.0]):
+            # centroids [1, 0, 0, 3] give the unsorted thresholds [0.5, 0, 1.5]
+            stats = np.concatenate([np.asarray(centroids)[train], rng.uniform(-1.5, 3.5, 5000)])
+            _, thresholds = train_slicer(stats[: train.size], train)
+            stats[-3:] = thresholds   # keys equal to a threshold
+            expected = np.searchsorted(thresholds, stats[train.size:])
+            assert np.array_equal(_slice(stats, train), expected)
+
+
+class TestSharedRealization:
+    """_run_link slices one waveform for the plain and the post-processed receivers."""
+
+    @pytest.mark.parametrize("lpf", [None, 2.5e5])
+    def test_entries_equal_separate_runs(self, lpf):
+        config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=lpf, seed=41)
+        payload = payload_bits(40_000, 9)
+        cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=4.0)
+        post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+        plain, compensated, again = _run_link(config, MODULE, payload, [None, post, None])
+        assert plain == again == run_link(config, MODULE, payload)
+        assert compensated == run_link(config, MODULE, payload, postprocess=post)
+        assert plain.bits_errored > 0 and compensated.bits_errored > 0
+        assert _run_link(config, MODULE, payload, [post, post]) == [compensated, compensated]
+
+    def test_postprocess_gets_read_only_waveform(self):
+        def in_place(v):
+            v *= 2.0
+            return v
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_link(quiet_config(), MODULE, payload_bits(2000, 1), postprocess=in_place)
 
 
 class TestExport:
