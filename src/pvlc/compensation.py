@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import ModuleSpec, first_derivative, module_voltage
+from .device import ModuleSpec, first_derivative, inverse_voltage_in_place, module_voltage
 from .link import LinkConfig, run_link
 from .seeding import payload_bits, point_seed
 
@@ -67,14 +67,11 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     # Capping v at v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
     # local gain at gain_cap times the operating-point gain.
     v_ceiling = v_dc + scale * np.log(cfg.gain_cap)
-    # inverse_voltage on the clipped total, then re-centring and scaling,
-    # each step in place on one new array: the same operations in the same
-    # order, so the same bits.
+    # every step after the first sum runs in place on one new array; the
+    # clip keeps the voltages in the inverse's range
     out = v_ac + v_dc
     np.clip(out, 0.0, v_ceiling, out=out)
-    out /= scale
-    np.expm1(out, out=out)
-    out *= p.i0 / p.eta
+    inverse_voltage_in_place(out, spec)
     out -= out.mean()
     out *= first_derivative(cfg.operating_lux, spec, "exact")
     return out

@@ -169,6 +169,17 @@ def inverse_voltage(volts, spec: ModuleSpec):
     arr = np.asarray(volts, dtype=float)
     if np.any(arr < 0):
         raise ValueError("voltage must be >= 0")
+    return _match(inverse_voltage_in_place(arr.copy(), spec), volts)
+
+
+def inverse_voltage_in_place(volts, spec: ModuleSpec):
+    """`inverse_voltage` without the range check, overwriting `volts`.
+
+    `volts` must be a float ndarray of voltages >= 0; it is returned
+    holding the illuminances.
+    """
     p = spec.params
-    lux = (p.i0 / p.eta) * np.expm1(arr / (spec.cell_count * p.n * p.v_t))
-    return _match(lux, volts)
+    volts /= spec.cell_count * p.n * p.v_t
+    np.expm1(volts, out=volts)
+    volts *= p.i0 / p.eta
+    return volts

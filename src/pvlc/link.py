@@ -10,14 +10,14 @@ per level (a level table) and gathers them by symbol, instead of once per
 sample as the public `receive` does.  The noisy waveform is built in place
 as a (symbols, samples_per_symbol) array: the normals are drawn into it,
 scaled by each symbol's sigma and offset by its level voltage, with no
-repeated voltage array.  AC coupling is fused with the slicer: the plain
-receiver subtracts the waveform mean only from the central samples it
-averages.  One realization serves the plain receiver and any number of
-post-processed ones (`_run_link`), so a plain/compensated comparison sees
-the same noise.  Every step applies the same operations to the same
-values as the samplewise `receive` -> `ac_couple` -> `detect_pam4`
-pipeline and draws the same normals, so every error count is
-bit-identical; tests compare the two.
+repeated voltage array.  AC coupling is fused with the slicer's
+statistic: the plain receiver subtracts the waveform mean only from the
+central samples it averages.  One realization serves the plain receiver
+and any number of post-processed ones (`_run_link`), so a
+plain/compensated comparison sees the same noise.  Every step applies the
+same operations to the same values as the samplewise `receive` ->
+`ac_couple` -> `detect_pam4` pipeline and draws the same normals, so
+every error count is bit-identical; tests compare the two.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -291,38 +291,17 @@ def _slice(stats, training_levels):
     if stats.size < n_train:
         raise ValueError("waveform shorter than the training sequence")
     _, thresholds = train_slicer(stats[:n_train], training_levels)
-    payload = stats[n_train:]
-    t0, t1, t2 = thresholds
-    if not t0 <= t1 <= t2:
-        # searchsorted's answer on unsorted thresholds depends on the order
-        # of the keys; keep it so every decision matches detect_pam4's.
-        return np.searchsorted(thresholds, payload)
-    # the number of thresholds below x: searchsorted(side="left") on
-    # sorted thresholds, without the binary search
-    return (payload > t0).astype(np.intp) + (payload > t1) + (payload > t2)
-
-
-def _detect_levels(v, config: LinkConfig, training_levels):
-    return _slice(symbol_statistics(v, config.samples_per_symbol), training_levels)
+    return np.searchsorted(thresholds, stats[n_train:])
 
 
 def _central_means(v, mu):
     """symbol_statistics(v.ravel() - mu, sps) for a (symbols, sps) array.
 
-    Only the central samples are shifted, and below 8 terms numpy's mean
-    sums sequentially, so adding the columns one by one gives the same
-    values without a full-size temporary.
+    Only the central samples, the ones the statistic averages, are shifted.
     """
     sps = v.shape[1]
     lo = sps // 4
-    hi = sps - lo
-    if hi - lo >= 8:   # numpy sums 8 or more terms pairwise
-        return (v[:, lo:hi] - mu).mean(axis=1)
-    total = v[:, lo] - mu
-    for k in range(lo + 1, hi):
-        total += v[:, k] - mu
-    total /= hi - lo
-    return total
+    return (v[:, lo:sps - lo] - mu).mean(axis=1)
 
 
 def detect_pam4(v, config: LinkConfig, training_levels):
@@ -331,7 +310,8 @@ def detect_pam4(v, config: LinkConfig, training_levels):
     The first len(training_levels) symbols are known to the receiver and
     used to train the slicer; only payload bits are returned.
     """
-    return levels_to_bits(_detect_levels(v, config, training_levels))
+    stats = symbol_statistics(v, config.samples_per_symbol)
+    return levels_to_bits(_slice(stats, training_levels))
 
 
 def training_sequence(config: LinkConfig):
@@ -344,7 +324,8 @@ def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=Non
     """Run the full pipeline and count payload bit errors.
 
     `postprocess`, when given, is applied to the AC-coupled voltage
-    waveform before detection (used for receiver-side compensation).
+    waveform before detection (used for receiver-side compensation).  The
+    waveform it gets is not used afterwards, so it may work in place.
     Deterministic for a fixed config (the RNG derives from config.seed).
     Errors are counted per symbol: a decision costs as many bits as its
     Gray code differs from the sent dibit in.
@@ -356,8 +337,9 @@ def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses)
     """One BerReport per entry of `postprocesses`, all from one realization.
 
     An entry of None is the plain receiver; any other entry is applied to
-    the AC-coupled waveform, which it must not modify (it is read-only).
-    The plain decisions are made before any postprocess runs.
+    the AC-coupled waveform.  When more than one entry shares it, the
+    waveform is read-only, so a postprocess must return a new array.  The
+    plain decisions are made before any postprocess runs.
     """
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
@@ -380,11 +362,11 @@ def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses)
         return [plain] * len(postprocesses)
     v -= mu
     v_ac = v.ravel()
-    v_ac.flags.writeable = False
+    v_ac.flags.writeable = sum(p is not None for p in postprocesses) == 1
 
     def processed(postprocess):
-        out = np.asarray(postprocess(v_ac), dtype=float).reshape(v.shape)
-        return report(_central_means(out, 0.0))
+        out = postprocess(v_ac)
+        return report(symbol_statistics(out, config.samples_per_symbol))
 
     return [plain if p is None else processed(p) for p in postprocesses]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pvlc.compensation import PostDistortionConfig, optimize_dcl, post_distort
-from pvlc.device import ModuleSpec, PVCellParams, first_derivative, inverse_voltage, module_voltage
+from pvlc.device import ModuleSpec, PVCellParams, first_derivative, module_voltage
 from pvlc.link import LEVELS, LinkConfig, ac_couple, run_link, symbol_statistics, train_slicer, training_sequence, tx_waveform
 from pvlc.seeding import payload_bits, point_seed
 
@@ -76,7 +76,8 @@ class TestPostDistort:
         p = MODULE.params
         v_dc = module_voltage(350.0, MODULE)
         ceiling = v_dc + MODULE.cell_count * p.n * p.v_t * np.log(gain_cap)
-        lux_hat = inverse_voltage(np.clip(v_ac + v_dc, 0.0, ceiling), MODULE)
+        scale = MODULE.cell_count * p.n * p.v_t
+        lux_hat = (p.i0 / p.eta) * np.expm1(np.clip(v_ac + v_dc, 0.0, ceiling) / scale)
         expected = (lux_hat - lux_hat.mean()) * first_derivative(350.0, MODULE, "exact")
         v_ac.flags.writeable = False
         assert np.array_equal(post_distort(v_ac, MODULE, cfg), expected)

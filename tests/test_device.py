@@ -8,6 +8,7 @@ from pvlc.device import (
     cell_voltage,
     first_derivative,
     inverse_voltage,
+    inverse_voltage_in_place,
     module_voltage,
     photocurrent,
     second_derivative,
@@ -220,3 +221,19 @@ class TestInverse:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             inverse_voltage(-0.1, MODULE)
+
+    def test_closed_form_bits_and_input_kept(self):
+        spec = ModuleSpec(cell_count=3, params=PARAMS)
+        volts = np.linspace(0.0, module_voltage(2000.0, spec), 1001)
+        before = volts.copy()
+        expected = (PARAMS.i0 / PARAMS.eta) * np.expm1(volts / (3 * PARAMS.n * PARAMS.v_t))
+        assert np.array_equal(inverse_voltage(volts, spec), expected)
+        assert np.array_equal(volts, before)
+        assert isinstance(inverse_voltage(volts[7], spec), float)
+        assert inverse_voltage(volts[7], spec) == expected[7]
+
+    def test_in_place_overwrites_its_argument(self):
+        volts = module_voltage(np.linspace(0.0, 2000.0, 101), MODULE)
+        expected = inverse_voltage(volts, MODULE)
+        assert inverse_voltage_in_place(volts, MODULE) is volts
+        assert np.array_equal(volts, expected)

@@ -9,7 +9,6 @@ from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
     _central_means,
     _run_link,
-    _slice,
     FEC_BER_THRESHOLD,
     GRAY,
     LEVELS,
@@ -432,18 +431,6 @@ class TestLevelTable:
         v = received.reshape(-1, sps)
         reference = symbol_statistics(ac_couple(received), sps)
         assert np.array_equal(_central_means(v, v.ravel().mean()), reference)
-        assert np.array_equal(_central_means(v, 0.0), symbol_statistics(received, sps))
-
-    def test_counting_slicer_matches_searchsorted(self):
-        rng = np.random.default_rng(3)
-        train = training_sequence(quiet_config())
-        for centroids in ([-1.0, -0.2, 0.3, 1.0], [1.0, 0.0, 0.0, 3.0], [0.0, 0.5, 0.5, 1.0]):
-            # centroids [1, 0, 0, 3] give the unsorted thresholds [0.5, 0, 1.5]
-            stats = np.concatenate([np.asarray(centroids)[train], rng.uniform(-1.5, 3.5, 5000)])
-            _, thresholds = train_slicer(stats[: train.size], train)
-            stats[-3:] = thresholds   # keys equal to a threshold
-            expected = np.searchsorted(thresholds, stats[train.size:])
-            assert np.array_equal(_slice(stats, train), expected)
 
 
 class TestSharedRealization:
@@ -461,13 +448,31 @@ class TestSharedRealization:
         assert plain.bits_errored > 0 and compensated.bits_errored > 0
         assert _run_link(config, MODULE, payload, [post, post]) == [compensated, compensated]
 
-    def test_postprocess_gets_read_only_waveform(self):
+    def test_single_postprocess_may_work_in_place(self):
+        def in_place(v):
+            v[1::3] = 0.0   # not a shift or a scale, which the slicer would undo
+            return v
+
+        def copying(v):
+            out = v.copy()
+            out[1::3] = 0.0
+            return out
+
+        config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, seed=5)
+        payload = payload_bits(20_000, 1)
+        expected = run_link(config, MODULE, payload, postprocess=copying)
+        assert run_link(config, MODULE, payload, postprocess=in_place) == expected
+        # the plain decisions come first, whatever the entry order
+        plain = run_link(config, MODULE, payload)
+        assert _run_link(config, MODULE, payload, [in_place, None]) == [expected, plain]
+
+    def test_shared_waveform_is_read_only(self):
         def in_place(v):
             v *= 2.0
             return v
 
         with pytest.raises(ValueError, match="read-only"):
-            run_link(quiet_config(), MODULE, payload_bits(2000, 1), postprocess=in_place)
+            _run_link(quiet_config(), MODULE, payload_bits(2000, 1), [in_place, in_place])
 
 
 class TestExport:
