@@ -33,7 +33,6 @@ from .link import (
     LinkConfig,
     ac_couple,
     channel,
-    decode_pam4,
     detect_pam4,
     encode_pam4,
     receive,
@@ -44,7 +43,7 @@ from .link import (
     train_slicer,
     tx_waveform,
 )
-from .compensation import PostDistortionConfig, optimize_dcl, post_distort
+from .compensation import PostDistortionConfig, post_distort
 from .seeding import mix64, payload_bits, point_seed
 
 __version__ = "0.1.0"

@@ -14,14 +14,12 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 from . import __version__, experiments
+from .compensation import DEFAULT_GAIN_CAP
 from .calibration import (
     DegenerateDataError,
-    ParseError,
-    SchemaError,
     atomic_write_text,
     fit_response,
     load_model_card,
@@ -38,9 +36,24 @@ from .seeding import payload_bits
 
 import numpy as np
 
-SWEEP_KINDS = ("response", "derivatives", "ber_vs_m", "ber_vs_dcl", "postdist", "eye")
+SWEEP_KINDS = (*CSV_HEADERS, "eye")
 DEFAULT_ETA = 2e-9  # A/lux, assumed conversion factor when none is calibrated
 POSITIONALS = {"command", "kind", "model", "samples"}   # not settable from a config file
+
+# (flag key, LinkConfig field, type, help) of every link flag but --no-shot
+LINK_FLAGS = (
+    ("bit_rate", "bit_rate", float, None),
+    ("sps", "samples_per_symbol", int, "samples per symbol"),
+    ("mod_index", "mod_index", float, None),
+    ("tx_dc", "tx_dc_lux", float, "transmitter DC illuminance, lux"),
+    ("dcl", "dcl_lux", float, "compensation light illuminance, lux"),
+    ("ambient", "ambient_lux", float, None),
+    ("thermal_sigma", "thermal_sigma_v", float, "thermal noise RMS, volts"),
+    ("noise_bandwidth", "noise_bandwidth_hz", float, None),
+    ("lpf_cutoff", "lpf_cutoff_hz", float, "single-pole low-pass cutoff, Hz"),
+    ("training", "training_symbols", int, "training symbols"),
+    ("seed", "seed", int, "RNG seed (required; never clock-seeded)"),
+)
 
 
 def main(argv=None):
@@ -56,10 +69,7 @@ def main(argv=None):
     except DegenerateDataError as exc:
         print(f"error: unidentifiable calibration data: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # calibration's ParseError and SchemaError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -95,7 +105,7 @@ def _build_parser():
     sweep.add_argument("--illuminances", help="comma list of tx DC illuminances (ber_vs_m)")
     sweep.add_argument("--dcl-grid", help="comma list of DCL illuminances (ber_vs_dcl)")
     sweep.add_argument("--dcl-m-list", help="comma list of m values (ber_vs_dcl)")
-    sweep.add_argument("--gain-cap", type=float, help="post-distortion gain cap (default 4)")
+    sweep.add_argument("--gain-cap", type=float, help=f"post-distortion gain cap (default {DEFAULT_GAIN_CAP:g})")
     sweep.add_argument("--traces", type=int, help="eye traces to export (default 64)")
     return parser
 
@@ -103,18 +113,9 @@ def _build_parser():
 def _add_link_flags(cmd):
     cmd.add_argument("model", help="model card JSON from 'pvlc fit'")
     cmd.add_argument("--config", help="JSON file with flag defaults")
-    cmd.add_argument("--bit-rate", type=float)
-    cmd.add_argument("--sps", type=int, help="samples per symbol")
-    cmd.add_argument("--mod-index", type=float)
-    cmd.add_argument("--tx-dc", type=float, help="transmitter DC illuminance, lux")
-    cmd.add_argument("--dcl", type=float, help="compensation light illuminance, lux")
-    cmd.add_argument("--ambient", type=float)
-    cmd.add_argument("--thermal-sigma", type=float, help="thermal noise RMS, volts")
+    for key, _, kind, help_text in LINK_FLAGS:
+        cmd.add_argument(_flag(key), type=kind, help=help_text)
     cmd.add_argument("--no-shot", action="store_true", default=None, help="disable shot noise")
-    cmd.add_argument("--noise-bandwidth", type=float)
-    cmd.add_argument("--lpf-cutoff", type=float, help="single-pole low-pass cutoff, Hz")
-    cmd.add_argument("--training", type=int, help="training symbols")
-    cmd.add_argument("--seed", type=int, help="RNG seed (required; never clock-seeded)")
 
 
 def _merge_config(args):
@@ -153,25 +154,14 @@ def _require_file(path_str, what):
 
 
 def _link_config(merged):
-    defaults = LinkConfig()
+    """LinkConfig from the link flags given; the others keep its defaults."""
     if merged.get("seed") is None:
         raise ValueError("an explicit --seed (or config 'seed') is required")
-    number = partial(_typed, merged, kind=float)
-    integer = partial(_typed, merged, kind=int)
-    return LinkConfig(
-        bit_rate=number("bit_rate", defaults.bit_rate),
-        samples_per_symbol=integer("sps", defaults.samples_per_symbol),
-        mod_index=number("mod_index", defaults.mod_index),
-        tx_dc_lux=number("tx_dc", defaults.tx_dc_lux),
-        dcl_lux=number("dcl", defaults.dcl_lux),
-        ambient_lux=number("ambient", defaults.ambient_lux),
-        thermal_sigma_v=number("thermal_sigma", defaults.thermal_sigma_v),
-        shot_noise_enabled=not _typed(merged, "no_shot", not defaults.shot_noise_enabled, bool),
-        noise_bandwidth_hz=number("noise_bandwidth", defaults.noise_bandwidth_hz),
-        lpf_cutoff_hz=None if merged.get("lpf_cutoff") is None else number("lpf_cutoff", None),
-        training_symbols=integer("training", defaults.training_symbols),
-        seed=integer("seed", None),
-    )
+    fields = {field: _typed(merged, key, kind) for key, field, kind, _ in LINK_FLAGS
+              if merged.get(key) is not None}
+    if merged.get("no_shot") is not None:
+        fields["shot_noise_enabled"] = not _typed(merged, "no_shot", bool)
+    return LinkConfig(**fields)
 
 
 def _write_manifest(directory, merged, extra=None):
@@ -229,6 +219,10 @@ def _cmd_sweep(merged):
     out_dir = Path(_given(merged, "out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    if kind == "postdist" and merged.get("tx_dc") is None:
+        merged["tx_dc"] = experiments.POSTDIST_TX_LUX
+    config = None if kind in ("response", "derivatives") else _link_config(merged)
+
     if kind in ("response", "derivatives"):
         lux_max = _positive(merged, "lux_max", 2000.0, float)
         lux_step = _positive(merged, "lux_step", 10.0, float)
@@ -238,29 +232,19 @@ def _cmd_sweep(merged):
             rows = experiments.sweep_response(grid, cells, spec)
         else:
             rows = experiments.sweep_derivatives(grid[grid > 0], cells, spec)
-        write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)
     elif kind == "ber_vs_m":
-        config = _link_config(merged)
         m_grid = _parse_list(merged, "m_grid", float, experiments.M_GRID)
         illum = _parse_list(merged, "illuminances", float, experiments.BER_VS_M_ILLUMINANCES)
         rows = experiments.sweep_ber_vs_m(m_grid, illum, config, spec, reps, payload_symbols, jobs)
-        write_csv(out_dir / "ber_vs_m.csv", CSV_HEADERS[kind], rows)
     elif kind == "ber_vs_dcl":
-        config = _link_config(merged)
         dcl_grid = _parse_list(merged, "dcl_grid", float, experiments.DCL_GRID)
         m_list = _parse_list(merged, "dcl_m_list", float, experiments.DCL_M_LIST)
         rows = experiments.sweep_ber_vs_dcl(dcl_grid, m_list, config, spec, reps, payload_symbols, jobs)
-        write_csv(out_dir / "ber_vs_dcl.csv", CSV_HEADERS[kind], rows)
     elif kind == "postdist":
-        if merged.get("tx_dc") is None:
-            merged["tx_dc"] = experiments.POSTDIST_TX_LUX
-        config = _link_config(merged)
         m_grid = _parse_list(merged, "m_grid", float, experiments.POSTDIST_M_GRID)
-        gain_cap = _positive(merged, "gain_cap", 4.0, float)
+        gain_cap = _positive(merged, "gain_cap", DEFAULT_GAIN_CAP, float)
         rows = experiments.sweep_postdistortion(m_grid, config, spec, gain_cap, reps, payload_symbols, jobs)
-        write_csv(out_dir / "postdist.csv", CSV_HEADERS[kind], rows)
     else:  # eye
-        config = _link_config(merged)
         traces = _positive(merged, "traces", 64)
         train = training_sequence(config)
         n_payload = max(2 * traces + 8, 256)
@@ -268,6 +252,8 @@ def _cmd_sweep(merged):
         v = ac_couple(receive_levels(levels, spec, config, np.random.default_rng(config.seed)))
         eye = export_eye(v[len(train) * config.samples_per_symbol :], config.samples_per_symbol, traces)
         write_eye_csv(eye, out_dir / "eye.csv")
+    if kind in CSV_HEADERS:
+        write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)
     _write_manifest(out_dir, merged)
     return 0
 
@@ -296,13 +282,13 @@ def _positive(merged, key, default, kind=int):
     return value
 
 
-def _typed(merged, key, default, kind):
-    """A link flag of type `kind` (int, float or bool), `default` when not given.
+def _typed(merged, key, kind):
+    """A given link flag's value, checked to be of type `kind` (int, float or bool).
 
     A config file can hold any JSON, so its values are checked here, where
     a wrong type gets a message naming the flag; numbers must be finite.
     """
-    value = _given(merged, key, default)
+    value = merged[key]
     if kind is bool:
         valid = isinstance(value, bool)
     elif isinstance(value, bool):

@@ -1,12 +1,11 @@
-"""Distortion mitigation: bias-lighting optimization and post-distortion.
+"""Distortion mitigation: gain-capped post-distortion of the received waveform.
 
-Two receiver-side strategies against the logarithmic OE nonlinearity:
-
-* `optimize_dcl` sweeps the illuminance of a local DC compensation light
-  placed at the receiver and reports the bias with the lowest BER.
-* `post_distort` digitally inverts the OE curve around a known operating
-  point, with the inverse's small-signal gain capped so noise in the
-  compressed upper region is not amplified without bound.
+Bias lighting, the other receiver-side strategy against the logarithmic
+OE nonlinearity, is `LinkConfig.dcl_lux` and needs no code here
+(`experiments.sweep_ber_vs_dcl` sweeps it).  `post_distort` digitally
+inverts the OE curve around a known operating point, with the inverse's
+small-signal gain capped so noise in the compressed upper region is not
+amplified without bound.
 
 The operating point is supplied by the caller: transmitter DC, bias light
 and ambient level are all configuration, so the receiver knows the total
@@ -15,13 +14,11 @@ from the waveform mean before AC coupling would be a straightforward
 extension but is deliberately not the default.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .device import ModuleSpec, first_derivative, inverse_voltage_in_place, module_voltage
-from .link import LinkConfig, run_link
-from .seeding import payload_bits, point_seed
 
 DEFAULT_GAIN_CAP = 4.0
 
@@ -58,7 +55,9 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     v_ac = np.asarray(v_ac, dtype=float)
     if v_ac.size == 0:
         raise ValueError("empty waveform")
-    rms = float(np.sqrt(np.mean(v_ac**2)))
+    # einsum's own loop: no squared temporary, and no BLAS threads in pool workers
+    flat = v_ac.ravel()
+    rms = float(np.sqrt(np.einsum("i,i->", flat, flat) / flat.size))
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
     p = spec.params
@@ -76,32 +75,3 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     out *= first_derivative(cfg.operating_lux, spec, "exact")
     return out
 
-
-def optimize_dcl(base_config: LinkConfig, spec: ModuleSpec, dcl_grid, payload=None):
-    """BER across a grid of compensation-light illuminances.
-
-    Runs the link once per grid value with a fixed payload and per-point
-    derived seeds; returns (best_dcl, curve) where curve is a list of
-    (dcl_lux, ber) and ties resolve to the smaller illuminance.
-    """
-    dcl_grid = [float(d) for d in dcl_grid]
-    if not dcl_grid:
-        raise ValueError("dcl_grid must not be empty")
-    if any(b <= a for a, b in zip(dcl_grid, dcl_grid[1:])):
-        raise ValueError("dcl_grid must be strictly ascending")
-    if any(d < 0 for d in dcl_grid):
-        raise ValueError("dcl_lux must be >= 0")
-    if payload is None:
-        payload = payload_bits(500_000, base_config.seed)
-    curve = []
-    for dcl in dcl_grid:
-        config = replace(
-            base_config,
-            dcl_lux=dcl,
-            seed=point_seed(base_config.seed, base_config.tx_dc_lux, base_config.mod_index, dcl, 0),
-        )
-        report = run_link(config, spec, payload)
-        curve.append((dcl, report.ber))
-    bers = [ber for _, ber in curve]
-    best_dcl = curve[int(np.argmin(bers))][0]   # argmin takes the first, i.e. smallest dcl
-    return best_dcl, curve

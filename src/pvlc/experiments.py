@@ -13,7 +13,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .compensation import PostDistortionConfig, post_distort
+from .compensation import DEFAULT_GAIN_CAP, PostDistortionConfig, post_distort
 from .device import (
     ModuleSpec,
     PVCellParams,
@@ -30,7 +30,6 @@ RESPONSE_LUX_GRID = tuple(np.arange(0.0, 2001.0, 10.0))
 RESPONSE_CELL_COUNTS = (1, 2, 4, 8)
 M_GRID = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.45)
 BER_VS_M_ILLUMINANCES = (200.0, 350.0, 500.0, 650.0)
-TX_PRESETS_LUX = (200.0, 350.0, 425.0, 500.0, 650.0)
 DCL_GRID = tuple(np.arange(0.0, 1501.0, 50.0))
 DCL_M_LIST = (0.2, 0.3, 0.4)
 POSTDIST_M_GRID = (0.2, 0.25, 0.3, 0.35, 0.4)
@@ -117,10 +116,6 @@ def _run_cells(cells, n_jobs):
     return np.asarray(results, dtype=float)
 
 
-def _median_over_reps(bers, repetitions):
-    return np.median(bers.reshape(-1, repetitions), axis=1)
-
-
 def ber_point_config(base_config: LinkConfig, tx_dc_lux, mod_index, dcl_lux, rep):
     """The exact LinkConfig a sweep uses for one cell (exposed for re-runs)."""
     return replace(
@@ -130,6 +125,27 @@ def ber_point_config(base_config: LinkConfig, tx_dc_lux, mod_index, dcl_lux, rep
         dcl_lux=float(dcl_lux),
         seed=point_seed(base_config.seed, float(tx_dc_lux), float(mod_index), float(dcl_lux), rep),
     )
+
+
+def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs, gain_cap=None):
+    """Median BERs over `repetitions` seeded cells per (tx, m, dcl) point.
+
+    An array of shape (points, entries): the plain receiver, then, given a
+    `gain_cap`, the post-distorted one on the same noise realization.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    cells = []
+    for tx, m, dcl in points:
+        for rep in range(repetitions):
+            config = ber_point_config(base_config, tx, m, dcl, rep)
+            entries = (None,)
+            if gain_cap is not None:
+                operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
+                entries = (None, PostDistortionConfig(operating_lux=operating, gain_cap=gain_cap))
+            cells.append((config, spec, 2 * payload_symbols, base_config.seed, entries))
+    bers = _run_cells(cells, n_jobs)
+    return np.median(bers.reshape(len(points), repetitions, -1), axis=1)
 
 
 def sweep_ber_vs_m(
@@ -146,20 +162,11 @@ def sweep_ber_vs_m(
     if any(not 0 < m <= 1 for m in m_grid):
         raise ValueError("m_grid values must lie in (0, 1]")
     illuminance_list = _check_grid(illuminance_list, "illuminance_list")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    cells = [
-        (ber_point_config(base_config, tx, m, base_config.dcl_lux, rep), spec,
-         2 * payload_symbols, base_config.seed, (None,))
-        for tx in illuminance_list
-        for m in m_grid
-        for rep in range(repetitions)
-    ]
-    medians = _median_over_reps(_run_cells(cells, n_jobs), repetitions)
-    points = [(tx, m) for tx in illuminance_list for m in m_grid]
+    points = [(tx, m, base_config.dcl_lux) for tx in illuminance_list for m in m_grid]
+    bers = _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs)
     return [
         (tx, m, float(ber), int(ber < FEC_BER_THRESHOLD))
-        for (tx, m), ber in zip(points, medians)
+        for (tx, m, _), (ber,) in zip(points, bers)
     ]
 
 
@@ -177,23 +184,16 @@ def sweep_ber_vs_dcl(
     if any(d < 0 for d in dcl_grid):
         raise ValueError("dcl_grid values must be >= 0")
     m_list = _check_grid(m_list, "m_list")
-    cells = [
-        (ber_point_config(base_config, base_config.tx_dc_lux, m, dcl, rep), spec,
-         2 * payload_symbols, base_config.seed, (None,))
-        for m in m_list
-        for dcl in dcl_grid
-        for rep in range(repetitions)
-    ]
-    medians = _median_over_reps(_run_cells(cells, n_jobs), repetitions)
-    points = [(m, dcl) for m in m_list for dcl in dcl_grid]
-    return [(m, dcl, float(ber)) for (m, dcl), ber in zip(points, medians)]
+    points = [(base_config.tx_dc_lux, m, dcl) for m in m_list for dcl in dcl_grid]
+    bers = _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs)
+    return [(m, dcl, float(ber)) for (_, m, dcl), (ber,) in zip(points, bers)]
 
 
 def sweep_postdistortion(
     m_grid,
     base_config: LinkConfig,
     spec: ModuleSpec,
-    gain_cap: float = 4.0,
+    gain_cap: float = DEFAULT_GAIN_CAP,
     repetitions: int = REPETITIONS,
     payload_symbols: int = PAYLOAD_SYMBOLS,
     n_jobs: int = 1,
@@ -205,20 +205,9 @@ def sweep_postdistortion(
     the compensation.
     """
     m_grid = _check_grid(m_grid, "m_grid")
-    cells = []
-    for m in m_grid:
-        for rep in range(repetitions):
-            config = ber_point_config(base_config, base_config.tx_dc_lux, m, base_config.dcl_lux, rep)
-            operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
-            postdist = PostDistortionConfig(operating_lux=operating, gain_cap=gain_cap)
-            cells.append((config, spec, 2 * payload_symbols, base_config.seed, (None, postdist)))
-    bers = _run_cells(cells, n_jobs).reshape(len(m_grid), repetitions, 2)
-    rows = []
-    for m, pair in zip(m_grid, bers):
-        plain = float(np.median(pair[:, 0]))
-        compensated = float(np.median(pair[:, 1]))
-        rows.append((m, plain, compensated))
-    return rows
+    points = [(base_config.tx_dc_lux, m, base_config.dcl_lux) for m in m_grid]
+    bers = _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs, gain_cap)
+    return [(m, float(plain), float(compensated)) for (_, m, _), (plain, compensated) in zip(points, bers)]
 
 
 def export_eye(v, samples_per_symbol: int, traces: int):

@@ -152,12 +152,6 @@ def encode_pam4(bits):
     return LEVELS[bits_to_levels(bits)]
 
 
-def decode_pam4(symbols):
-    """Map PAM4 amplitudes back to bits (nearest level)."""
-    idx = np.argmin(np.abs(np.asarray(symbols, dtype=float)[:, None] - LEVELS[None, :]), axis=1)
-    return levels_to_bits(idx)
-
-
 def tx_waveform(symbols, config: LinkConfig):
     """Rectangular NRZ illuminance waveform, lux per sample."""
     symbols = np.asarray(symbols, dtype=float)
@@ -370,11 +364,3 @@ def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses)
 
     return [plain if p is None else processed(p) for p in postprocesses]
 
-
-def export_waveform_csv(v, destination):
-    """Write a waveform as ``sample_index,value`` CSV for debugging."""
-    v = np.asarray(v, dtype=float)
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        handle.write("sample_index,value\n")
-        for k, value in enumerate(v):
-            handle.write(f"{k},{value:.17g}\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from pvlc import calibration
-from pvlc.cli import main
+from pvlc import calibration, cli
+from pvlc.cli import LINK_FLAGS, main
 from pvlc.calibration import load_model_card
 from pvlc.device import K_B, Q_E
+from pvlc.link import BerReport, LinkConfig
 
 
 @pytest.fixture()
@@ -93,6 +95,39 @@ class TestSimulate:
         code = main(["simulate", str(model_json), "--config", str(cfg), "--mod-index", "0.3",
                      "--thermal-sigma", "0", "--no-shot"])
         assert code == 0
+
+
+# A valid value other than the default for every LinkConfig field.
+NON_DEFAULT_LINK = dict(
+    bit_rate=2e6, samples_per_symbol=4, mod_index=0.25, tx_dc_lux=300.0, dcl_lux=50.0,
+    ambient_lux=10.0, thermal_sigma_v=2e-3, shot_noise_enabled=False, noise_bandwidth_hz=1e9,
+    lpf_cutoff_hz=2e5, training_symbols=128, seed=9,
+)
+
+
+class TestLinkFlags:
+    """One table maps the link flags to LinkConfig; a field without a flag fails here."""
+
+    def test_table_covers_every_field(self):
+        fields = [field for _, field, _, _ in LINK_FLAGS] + ["shot_noise_enabled"]   # --no-shot
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(LinkConfig))
+
+    def test_config_file_values_reach_their_fields(self, model_json, tmp_path, monkeypatch):
+        defaults = LinkConfig()
+        assert all(getattr(defaults, f) != v for f, v in NON_DEFAULT_LINK.items())
+        file_values = {key: NON_DEFAULT_LINK[field] for key, field, _, _ in LINK_FLAGS}
+        file_values["no_shot"] = not NON_DEFAULT_LINK["shot_noise_enabled"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_values))
+        seen = []
+
+        def fake_run_link(config, spec, payload):
+            seen.append(config)
+            return BerReport.from_counts(payload.size, 0)
+
+        monkeypatch.setattr(cli, "run_link", fake_run_link)
+        assert main(["simulate", str(model_json), "--config", str(cfg), "--payload-symbols", "100"]) == 0
+        assert seen == [LinkConfig(**NON_DEFAULT_LINK)]
 
 
 class TestSweep:

@@ -1,13 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pvlc.compensation import PostDistortionConfig, optimize_dcl, post_distort
+from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, first_derivative, module_voltage
-from pvlc.link import LEVELS, LinkConfig, ac_couple, run_link, symbol_statistics, train_slicer, training_sequence, tx_waveform
-from pvlc.seeding import payload_bits, point_seed
+from pvlc.link import LEVELS, LinkConfig, ac_couple, symbol_statistics, train_slicer, training_sequence, tx_waveform
 
 PARAMS = PVCellParams(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0)
 MODULE = ModuleSpec(cell_count=1, params=PARAMS)
@@ -83,32 +81,3 @@ class TestPostDistort:
         assert np.array_equal(post_distort(v_ac, MODULE, cfg), expected)
         assert np.array_equal(v_ac, before)
 
-
-class TestOptimizeDcl:
-    def test_single_point_grid(self):
-        config = LinkConfig(seed=3, thermal_sigma_v=0.0, shot_noise_enabled=False)
-        best, curve = optimize_dcl(config, MODULE, [200.0], payload=payload_bits(2000, 3))
-        assert best == 200.0
-        assert len(curve) == 1
-
-    def test_noise_off_ties_break_low(self):
-        config = LinkConfig(seed=3, thermal_sigma_v=0.0, shot_noise_enabled=False)
-        best, curve = optimize_dcl(config, MODULE, [0.0, 100.0, 200.0], payload=payload_bits(2000, 3))
-        assert [ber for _, ber in curve] == [0.0, 0.0, 0.0]
-        assert best == 0.0
-
-    def test_curve_matches_pointwise_run_link(self):
-        config = LinkConfig(seed=17, thermal_sigma_v=2e-3)
-        payload = payload_bits(10_000, 17)
-        _, curve = optimize_dcl(config, MODULE, [0.0, 150.0], payload=payload)
-        for dcl, ber in curve:
-            point = replace(config, dcl_lux=dcl,
-                            seed=point_seed(config.seed, config.tx_dc_lux, config.mod_index, dcl, 0))
-            assert run_link(point, MODULE, payload).ber == ber
-
-    def test_grid_validation(self):
-        config = LinkConfig(seed=1)
-        with pytest.raises(ValueError):
-            optimize_dcl(config, MODULE, [])
-        with pytest.raises(ValueError):
-            optimize_dcl(config, MODULE, [100.0, 50.0])

@@ -168,6 +168,21 @@ class TestBerSweeps:
             sweep_ber_vs_m([0.3, 0.2], [200.0], config, MODULE, **FAST)
         with pytest.raises(ValueError):
             sweep_ber_vs_m([0.2, 1.2], [200.0], config, MODULE, **FAST)
+        with pytest.raises(ValueError, match="dcl_grid must not be empty"):
+            sweep_ber_vs_dcl([], [0.3], config, MODULE, **FAST)
+        with pytest.raises(ValueError, match="dcl_grid must be strictly ascending"):
+            sweep_ber_vs_dcl([100.0, 50.0], [0.3], config, MODULE, **FAST)
+        with pytest.raises(ValueError, match="dcl_grid values must be >= 0"):
+            sweep_ber_vs_dcl([-50.0, 100.0], [0.3], config, MODULE, **FAST)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda **kw: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, **kw),
+        lambda **kw: sweep_ber_vs_dcl([0.0], [0.3], base_config(), MODULE, **kw),
+        lambda **kw: sweep_postdistortion([0.3], base_config(), MODULE, **kw),
+    ], ids=["ber_vs_m", "ber_vs_dcl", "postdist"])
+    def test_zero_repetitions_rejected(self, sweep):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            sweep(repetitions=0, payload_symbols=4000)
 
 
 class TestEye:

@@ -18,10 +18,9 @@ from pvlc.link import (
     ac_couple,
     bits_to_levels,
     channel,
-    decode_pam4,
     detect_pam4,
     encode_pam4,
-    export_waveform_csv,
+    levels_to_bits,
     receive,
     receive_levels,
     run_link,
@@ -52,11 +51,11 @@ class TestMapping:
 
     def test_round_trip_all_patterns(self):
         for bits in itertools.product([0, 1], repeat=2):
-            assert decode_pam4(encode_pam4(list(bits))).tolist() == list(bits)
+            assert levels_to_bits(bits_to_levels(list(bits))).tolist() == list(bits)
 
     def test_round_trip_long(self):
         bits = payload_bits(1000, 9)
-        assert np.array_equal(decode_pam4(encode_pam4(bits)), bits)
+        assert np.array_equal(levels_to_bits(bits_to_levels(bits)), bits)
 
     def test_gray_adjacency(self):
         # adjacent amplitude levels differ in exactly one bit
@@ -474,12 +473,3 @@ class TestSharedRealization:
         with pytest.raises(ValueError, match="read-only"):
             _run_link(quiet_config(), MODULE, payload_bits(2000, 1), [in_place, in_place])
 
-
-class TestExport:
-    def test_waveform_csv(self, tmp_path):
-        path = tmp_path / "wave.csv"
-        export_waveform_csv(np.array([0.5, -0.25]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample_index,value"
-        assert lines[1].startswith("0,0.5")
-        assert len(lines) == 3
