@@ -15,44 +15,22 @@ from pathlib import Path
 import numpy as np
 
 from pvlc.experiments import DEFAULT_MODULE, export_eye, write_eye_csv
-from pvlc.link import (
-    LEVELS,
-    LinkConfig,
-    ac_couple,
-    encode_pam4,
-    receive,
-    run_link,
-    symbol_statistics,
-    train_slicer,
-    training_sequence,
-    tx_waveform,
-)
+from pvlc.link import LinkConfig, run_link, simulate
 from pvlc.seeding import payload_bits
 
 out = Path("out")
 out.mkdir(exist_ok=True)
 
-
-def noiseless_waveform(config):
-    rng = np.random.default_rng(config.seed)
-    symbols = np.concatenate(
-        [LEVELS[training_sequence(config)], encode_pam4(payload_bits(2 * 512, config.seed))]
-    )
-    return ac_couple(receive(tx_waveform(symbols, config), DEFAULT_MODULE, config, rng))
-
-
 for tx_dc, m, tag in [(250.0, 0.3, "250lux"), (1250.0, 0.3 * 250.0 / 1250.0, "1250lux")]:
     config = LinkConfig(tx_dc_lux=tx_dc, mod_index=m, thermal_sigma_v=0.0,
                         shot_noise_enabled=False, seed=42)
-    v = noiseless_waveform(config)
-    train = training_sequence(config)
-    stats = symbol_statistics(v, config.samples_per_symbol)
-    centroids, _ = train_slicer(stats[: len(train)], train)
-    gaps = np.diff(centroids)
+    (trace,) = simulate(config, DEFAULT_MODULE, payload_bits(2 * 512, config.seed))
+    gaps = np.diff(trace.centroids)
     print(f"tx_dc={tx_dc:.0f} lux (swing {m * tx_dc:.0f} lux): "
           f"eye openings {gaps[0] * 1e3:.2f} / {gaps[1] * 1e3:.2f} / {gaps[2] * 1e3:.2f} mV, "
           f"top/bottom = {gaps[2] / gaps[0]:.3f}")
-    eye = export_eye(v[len(train) * config.samples_per_symbol:], config.samples_per_symbol, 64)
+    sps = config.samples_per_symbol
+    eye = export_eye(trace.v[config.training_symbols * sps:], sps, 64)
     write_eye_csv(eye, out / f"eye_{tag}.csv")
 
 print("\nwith the committed noise defaults:")

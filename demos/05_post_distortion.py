@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from pvlc.compensation import PostDistortionConfig, post_distort
-from pvlc.device import module_voltage
 from pvlc.experiments import (
     CSV_HEADERS,
     DEFAULT_MODULE,
@@ -26,17 +25,17 @@ from pvlc.experiments import (
     sweep_postdistortion,
     write_csv,
 )
-from pvlc.link import LEVELS, LinkConfig, ac_couple, symbol_statistics, train_slicer, training_sequence, tx_waveform
+from pvlc.link import LinkConfig, simulate
+from pvlc.seeding import payload_bits
 
 # 1. noiseless sanity: unlimited-gain inversion equalizes the PAM4 gaps
 config = LinkConfig(tx_dc_lux=350.0, mod_index=0.3, thermal_sigma_v=0.0,
                     shot_noise_enabled=False, seed=0)
-train = training_sequence(config)
-v = ac_couple(module_voltage(tx_waveform(LEVELS[train], config), DEFAULT_MODULE))
-linearized = post_distort(v, DEFAULT_MODULE, PostDistortionConfig(350.0, gain_cap=math.inf))
-for name, wave in [("plain", v), ("compensated", linearized)]:
-    stats = symbol_statistics(wave, config.samples_per_symbol)
-    gaps = np.diff(train_slicer(stats, train)[0])
+cfg = PostDistortionConfig(350.0, gain_cap=math.inf)
+traces = simulate(config, DEFAULT_MODULE, payload_bits(2 * 512, config.seed),
+                  (None, lambda v: post_distort(v, DEFAULT_MODULE, cfg)))
+for name, trace in zip(["plain", "compensated"], traces):
+    gaps = np.diff(trace.centroids)
     print(f"{name:12s} gap spread: {(gaps.max() - gaps.min()) / gaps.max():.2e} relative")
 
 # 2. BER with the committed noise defaults, identical noise per pair

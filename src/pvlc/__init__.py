@@ -31,14 +31,15 @@ from .link import (
     BerReport,
     DetectionError,
     LinkConfig,
+    LinkTrace,
     ac_couple,
     channel,
     detect_pam4,
     encode_pam4,
     receive,
-    receive_levels,
     run_link,
     shot_noise_sigma,
+    simulate,
     symbol_statistics,
     train_slicer,
     tx_waveform,

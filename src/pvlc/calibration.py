@@ -293,14 +293,16 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError(f"model card fields missing={sorted(missing)} extra={sorted(extra)}")
     if not isinstance(card["fit"], dict) or set(card["fit"]) != MODEL_CARD_FIT_FIELDS:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
-    if not (isinstance(card["fit"]["rmse"], (int, float)) and card["fit"]["rmse"] >= 0):
-        raise ValueError("model card rmse must be >= 0")
     # JSON true/false parse as bool, a subclass of int: reject them too.
     if isinstance(card["cell_count"], bool) or not isinstance(card["cell_count"], int):
         raise SchemaError(f"model card cell_count must be an integer, got {card['cell_count']!r}")
-    for key in ("n", "i0", "eta", "temperature"):
-        if isinstance(card[key], bool) or not isinstance(card[key], (int, float)):
-            raise SchemaError(f"model card {key} must be a number, got {card[key]!r}")
+    # Python's json reads Infinity and NaN as floats
+    numbers = {key: card[key] for key in ("n", "i0", "eta", "temperature")} | {"rmse": card["fit"]["rmse"]}
+    for key, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise SchemaError(f"model card {key} must be a finite number, got {value!r}")
+    if numbers["rmse"] < 0:
+        raise SchemaError("model card rmse must be >= 0")
     params = PVCellParams(
         n=float(card["n"]),
         i0=float(card["i0"]),

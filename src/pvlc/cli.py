@@ -30,7 +30,7 @@ from .calibration import (
 from .device import ModuleSpec, PVCellParams
 # `receive` is unused here but stays importable as pvlc.cli.receive: the
 # traced CLI session in perfbench/workload.py wraps that attribute.
-from .link import LinkConfig, ac_couple, bits_to_levels, receive, receive_levels, run_link, training_sequence  # noqa: F401
+from .link import LinkConfig, receive, run_link, simulate  # noqa: F401
 from .experiments import export_eye, write_csv, write_eye_csv, CSV_HEADERS
 from .seeding import payload_bits
 
@@ -246,12 +246,9 @@ def _cmd_sweep(merged):
         rows = experiments.sweep_postdistortion(m_grid, config, spec, gain_cap, reps, payload_symbols, jobs)
     else:  # eye
         traces = _positive(merged, "traces", 64)
-        train = training_sequence(config)
-        n_payload = max(2 * traces + 8, 256)
-        levels = np.concatenate([train, bits_to_levels(payload_bits(2 * n_payload, config.seed))])
-        v = ac_couple(receive_levels(levels, spec, config, np.random.default_rng(config.seed)))
-        eye = export_eye(v[len(train) * config.samples_per_symbol :], config.samples_per_symbol, traces)
-        write_eye_csv(eye, out_dir / "eye.csv")
+        sps = config.samples_per_symbol
+        v = simulate(config, spec, payload_bits(2 * max(2 * traces + 8, 256), config.seed))[0].v
+        write_eye_csv(export_eye(v[config.training_symbols * sps :], sps, traces), out_dir / "eye.csv")
     if kind in CSV_HEADERS:
         write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)
     _write_manifest(out_dir, merged)
@@ -271,19 +268,14 @@ def _given(merged, key, default):
 def _positive(merged, key, default, kind=int):
     """A count or scale flag: `default` when not given, else a number > 0.
 
-    Zero, negative and wrongly typed values (a config file can hold any
-    JSON) are rejected, never replaced by the default.
+    Zero, negative, non-finite and wrongly typed values (a config file can
+    hold any JSON) are rejected, never replaced by the default.
     """
-    value = _given(merged, key, default)
-    types = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, types) or not value > 0:
-        noun = "integer" if kind is int else "number"
-        raise ValueError(f"{_flag(key)} must be a positive {noun}, got {value!r}")
-    return value
+    return default if merged.get(key) is None else _typed(merged, key, kind, positive=True)
 
 
-def _typed(merged, key, kind):
-    """A given link flag's value, checked to be of type `kind` (int, float or bool).
+def _typed(merged, key, kind, positive=False):
+    """A given flag's value, checked to be of type `kind` (int, float or bool).
 
     A config file can hold any JSON, so its values are checked here, where
     a wrong type gets a message naming the flag; numbers must be finite.
@@ -297,8 +289,13 @@ def _typed(merged, key, kind):
         valid = isinstance(value, int)
     else:
         valid = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if valid and positive:
+        valid = value > 0
     if not valid:
-        noun = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
+        if positive:
+            noun = "a positive integer" if kind is int else "a positive number"
+        else:
+            noun = {bool: "true or false", int: "an integer", float: "a finite number"}[kind]
         raise ValueError(f"{_flag(key)} must be {noun}, got {value!r}")
     return value
 

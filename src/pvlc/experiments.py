@@ -21,7 +21,7 @@ from .device import (
     module_voltage,
     second_derivative,
 )
-from .link import FEC_BER_THRESHOLD, LinkConfig, _run_link
+from .link import FEC_BER_THRESHOLD, LinkConfig, simulate
 from .seeding import payload_bits, point_seed
 
 # Committed defaults for reproducing the study's sweep families.
@@ -102,12 +102,13 @@ def _ber_cell(args):
     postprocesses = [
         None if cfg is None else partial(post_distort, spec=spec, cfg=cfg) for cfg in postdist_cfgs
     ]
-    reports = _run_link(config, spec, _payload(n_bits, base_seed), postprocesses)
-    return tuple(report.ber for report in reports)
+    traces = simulate(config, spec, _payload(n_bits, base_seed), postprocesses)
+    return tuple(trace.report.ber for trace in traces)
 
 
 def _run_cells(cells, n_jobs):
     """Per-cell BER tuples as an array of shape (cells, entries)."""
+    n_jobs = min(n_jobs, len(cells))   # a forking pool starts every worker at its first submit
     if n_jobs <= 1:
         results = [_ber_cell(c) for c in cells]
     else:

@@ -4,20 +4,18 @@ Pipeline: bits -> Gray-mapped PAM4 symbols -> rectangular NRZ illuminance
 waveform -> additive DC light sources -> samplewise OE conversion with
 thermal and shot noise -> DC removal -> trained symbol slicer -> bits.
 
-Rectangular NRZ puts only four illuminances on the receiver, one per PAM4
-level, so `run_link` evaluates the OE voltage and the noise variance once
-per level (a level table) and gathers them by symbol, instead of once per
-sample as the public `receive` does.  The noisy waveform is built in place
-as a (symbols, samples_per_symbol) array: the normals are drawn into it,
-scaled by each symbol's sigma and offset by its level voltage, with no
-repeated voltage array.  AC coupling is fused with the slicer's
-statistic: the plain receiver subtracts the waveform mean only from the
-central samples it averages.  One realization serves the plain receiver
-and any number of post-processed ones (`_run_link`), so a
-plain/compensated comparison sees the same noise.  Every step applies the
-same operations to the same values as the samplewise `receive` ->
-`ac_couple` -> `detect_pam4` pipeline and draws the same normals, so
-every error count is bit-identical; tests compare the two.
+`simulate` is the one staged pipeline; `run_link`, the sweeps, the CLI eye
+and the demos all call it.  Rectangular NRZ puts only four illuminances on
+the receiver, one per PAM4 level, so it evaluates the OE voltage and the
+noise variance once per level (a level table) and gathers them by symbol,
+instead of once per sample as the public `receive` does.  The noisy
+waveform is built in place as a (symbols, samples_per_symbol) array and
+AC-coupled in place.  One realization serves the plain receiver and any
+number of post-processed ones, so a plain/compensated comparison sees the
+same noise.  Every step applies the same operations to the same values as
+the samplewise `receive` -> `ac_couple` -> `detect_pam4` pipeline and
+draws the same normals, so every waveform and error count is
+bit-identical; tests compare the two.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -208,7 +206,7 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
 
 
 def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
-    """`receive_levels` as a (symbols, samples_per_symbol) array, built in place."""
+    """`receive` of these levels' NRZ waveform from a level table, as a (symbols, sps) array."""
     sps = config.samples_per_symbol
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
@@ -228,17 +226,6 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
     out *= sigma[:, None]
     out += v
     return out
-
-
-def receive_levels(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
-    """Received voltage waveform for a sequence of PAM4 level indices.
-
-    Bit-identical to ``receive(channel(tx_waveform(LEVELS[level_indices],
-    config), config), spec, config, rng)``, with the OE voltage and the
-    noise computed once per level and gathered per symbol.
-    """
-    level_indices = np.asarray(level_indices, dtype=np.int64)
-    return _received(level_indices, spec, config, rng).ravel()
 
 
 def ac_couple(v):
@@ -262,8 +249,10 @@ def symbol_statistics(v, samples_per_symbol):
 def train_slicer(stats, training_levels):
     """Estimate level centroids and midpoint thresholds from training symbols.
 
-    Returns (centroids, thresholds); raises DetectionError unless all four
-    levels appear in the training sequence.
+    Returns (centroids, thresholds).  The thresholds are the midpoints of
+    the centroids in ascending order, so they are sorted even when noise
+    leaves the centroids out of level order.  Raises DetectionError unless
+    all four levels appear in the training sequence.
     """
     training_levels = np.asarray(training_levels, dtype=np.int64)
     stats = np.asarray(stats, dtype=float)
@@ -275,27 +264,27 @@ def train_slicer(stats, training_levels):
         if not mask.any():
             raise DetectionError(f"training sequence never transmits level {level}")
         centroids[level] = stats[mask].mean()
-    thresholds = 0.5 * (centroids[:-1] + centroids[1:])
-    return centroids, thresholds
+    ascending = np.sort(centroids)
+    return centroids, 0.5 * (ascending[:-1] + ascending[1:])
 
 
 def _slice(stats, training_levels):
-    """Payload level indices sliced by a slicer trained on the first symbols."""
+    """Train a slicer on the first symbols and slice the rest.
+
+    Returns (centroids, thresholds, payload level indices).  Each symbol
+    goes to its nearest centroid: the count of thresholds below it indexes
+    the levels in ascending centroid order (a tie goes to the lower one).
+    """
     n_train = len(training_levels)
     if stats.size < n_train:
         raise ValueError("waveform shorter than the training sequence")
-    _, thresholds = train_slicer(stats[:n_train], training_levels)
-    return np.searchsorted(thresholds, stats[n_train:])
-
-
-def _central_means(v, mu):
-    """symbol_statistics(v.ravel() - mu, sps) for a (symbols, sps) array.
-
-    Only the central samples, the ones the statistic averages, are shifted.
-    """
-    sps = v.shape[1]
-    lo = sps // 4
-    return (v[:, lo:sps - lo] - mu).mean(axis=1)
+    centroids, thresholds = train_slicer(stats[:n_train], training_levels)
+    payload = stats[n_train:]
+    # integer counts: numpy adds two bool arrays as a logical or
+    counts = (payload > thresholds[0]).astype(np.intp)
+    counts += payload > thresholds[1]
+    counts += payload > thresholds[2]
+    return centroids, thresholds, np.argsort(centroids, kind="stable")[counts]
 
 
 def detect_pam4(v, config: LinkConfig, training_levels):
@@ -305,7 +294,7 @@ def detect_pam4(v, config: LinkConfig, training_levels):
     used to train the slicer; only payload bits are returned.
     """
     stats = symbol_statistics(v, config.samples_per_symbol)
-    return levels_to_bits(_slice(stats, training_levels))
+    return levels_to_bits(_slice(stats, training_levels)[2])
 
 
 def training_sequence(config: LinkConfig):
@@ -314,26 +303,33 @@ def training_sequence(config: LinkConfig):
     return np.tile(np.arange(4), reps)[: config.training_symbols]
 
 
-def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=None):
-    """Run the full pipeline and count payload bit errors.
+@dataclass(frozen=True)
+class LinkTrace:
+    """What one receiver of `simulate` saw and decided.
 
-    `postprocess`, when given, is applied to the AC-coupled voltage
-    waveform before detection (used for receiver-side compensation).  The
-    waveform it gets is not used afterwards, so it may work in place.
-    Deterministic for a fixed config (the RNG derives from config.seed).
-    Errors are counted per symbol: a decision costs as many bits as its
-    Gray code differs from the sent dibit in.
+    v is the flat waveform its slicer read, training symbols first: the
+    AC-coupled received voltage, or what a postprocess made of it.
     """
-    return _run_link(config, spec, payload_bits, [postprocess])[0]
+
+    v: np.ndarray
+    stats: np.ndarray          # per-symbol decision statistics
+    centroids: np.ndarray      # trained level centroids, by level index
+    thresholds: np.ndarray     # ascending midpoints of the centroids
+    detected: np.ndarray       # payload level indices
+    report: BerReport
 
 
-def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses):
-    """One BerReport per entry of `postprocesses`, all from one realization.
+def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(None,)):
+    """Run the link once and slice it with one receiver per entry of `postprocesses`.
 
-    An entry of None is the plain receiver; any other entry is applied to
-    the AC-coupled waveform.  When more than one entry shares it, the
-    waveform is read-only, so a postprocess must return a new array.  The
-    plain decisions are made before any postprocess runs.
+    Returns one LinkTrace per entry, all from one noise realization.  An
+    entry of None is the plain receiver; any other entry is applied to the
+    AC-coupled waveform before its slicer.  When more than one entry
+    shares the waveform it is read-only, so a postprocess must return a
+    new array; a lone postprocess may work in place.  Deterministic for a
+    fixed config (the RNG derives from config.seed).  Errors are counted
+    per symbol: a decision costs as many bits as its Gray code differs
+    from the sent dibit in.
     """
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
@@ -341,26 +337,25 @@ def _run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses)
     sent = _dibits(payload_bits)
     train = training_sequence(config)
     levels = np.concatenate([train, GRAY[sent]])
-    v = _received(levels, spec, config, np.random.default_rng(config.seed))
-    mu = v.ravel().mean()   # ac_couple's mean: the same pairwise sum
-
-    def report(stats):
-        detected = _slice(stats, train)
+    v = _received(levels, spec, config, np.random.default_rng(config.seed)).ravel()
+    v -= v.mean()   # ac_couple, in place
+    v.flags.writeable = len(postprocesses) == 1
+    traces = []
+    for postprocess in postprocesses:
+        out = v if postprocess is None else postprocess(v)
+        stats = symbol_statistics(out, config.samples_per_symbol)
+        centroids, thresholds, detected = _slice(stats, train)
         errors = int(_BIT_COUNT[GRAY[detected] ^ sent].sum())
-        return BerReport.from_counts(payload_bits.size, errors)
+        report = BerReport.from_counts(payload_bits.size, errors)
+        traces.append(LinkTrace(out, stats, centroids, thresholds, detected, report))
+    return tuple(traces)
 
-    plain = None
-    if any(p is None for p in postprocesses):
-        plain = report(_central_means(v, mu))
-    if all(p is None for p in postprocesses):
-        return [plain] * len(postprocesses)
-    v -= mu
-    v_ac = v.ravel()
-    v_ac.flags.writeable = sum(p is not None for p in postprocesses) == 1
 
-    def processed(postprocess):
-        out = postprocess(v_ac)
-        return report(symbol_statistics(out, config.samples_per_symbol))
+def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=None):
+    """BerReport of one link run (`simulate` with a single receiver).
 
-    return [plain if p is None else processed(p) for p in postprocesses]
-
+    `postprocess`, when given, is applied to the AC-coupled voltage
+    waveform before detection (used for receiver-side compensation); it
+    may work in place.
+    """
+    return simulate(config, spec, payload_bits, (postprocess,))[0].report

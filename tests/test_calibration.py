@@ -223,6 +223,24 @@ class TestModelCard:
         with pytest.raises(SchemaError, match=field):
             load_model_card(json.dumps(card).encode())
 
+    @pytest.mark.parametrize("field", ["n", "i0", "eta", "temperature", "rmse"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        (card["fit"] if field == "rmse" else card)[field] = value
+        with pytest.raises(SchemaError, match=f"{field} must be a finite number"):
+            load_model_card(json.dumps(card).encode())
+
+    def test_negative_rmse_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        card["fit"]["rmse"] = -1e-4
+        with pytest.raises(SchemaError, match="rmse must be >= 0"):
+            load_model_card(json.dumps(card).encode())
+
     def test_not_json(self):
         with pytest.raises(SchemaError):
             load_model_card(b"not json at all")

@@ -178,6 +178,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("flag,value", [
         ("--cells", "0"), ("--temp", "0"), ("--eta", "0"), ("--cells", "-2"),
+        ("--eta", "inf"), ("--temp", "inf"), ("--eta", "nan"),
     ])
     def test_fit_rejects(self, samples_csv, tmp_path, capsys, flag, value):
         code = main(["fit", str(samples_csv), "--out", str(tmp_path / "m.json"), flag, value])
@@ -197,6 +198,8 @@ class TestBoundary:
         ("ber_vs_m", "--jobs", "-3"),
         ("eye", "--traces", "0"),
         ("postdist", "--gain-cap", "0"),
+        ("postdist", "--gain-cap", "inf"),
+        ("response", "--lux-max", "inf"),
         ("response", "--lux-step", "0"),
         ("ber_vs_m", "--m-grid", ","),
     ])
@@ -239,7 +242,7 @@ class TestBoundary:
         assert code == 2
         assert f"{flag} must be a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", 0, -5.0, True])
+    @pytest.mark.parametrize("value", ["abc", 0, -5.0, True, float("inf")])
     def test_config_file_lux_max_rejected(self, model_json, tmp_path, capsys, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lux_max": value}))

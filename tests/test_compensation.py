@@ -5,7 +5,8 @@ import pytest
 
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, first_derivative, module_voltage
-from pvlc.link import LEVELS, LinkConfig, ac_couple, symbol_statistics, train_slicer, training_sequence, tx_waveform
+from pvlc.link import LinkConfig, ac_couple, simulate
+from pvlc.seeding import payload_bits
 
 PARAMS = PVCellParams(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0)
 MODULE = ModuleSpec(cell_count=1, params=PARAMS)
@@ -32,13 +33,12 @@ class TestPostDistort:
     def test_noiseless_pam4_gaps_equalized(self):
         config = LinkConfig(tx_dc_lux=350.0, mod_index=0.3, thermal_sigma_v=0.0,
                             shot_noise_enabled=False, seed=0)
-        train = training_sequence(config)
-        v = module_voltage(tx_waveform(LEVELS[train], config), MODULE)
-        compensated = post_distort(ac_couple(v), MODULE,
-                                   PostDistortionConfig(operating_lux=350.0, gain_cap=math.inf))
-        stats = symbol_statistics(compensated, config.samples_per_symbol)
-        centroids, _ = train_slicer(stats, train)
-        gaps = np.diff(centroids)
+        cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=math.inf)
+        plain, compensated = simulate(config, MODULE, payload_bits(2 * 512, 0),
+                                      (None, lambda v: post_distort(v, MODULE, cfg)))
+        gaps = np.diff(plain.centroids)
+        assert np.max(gaps) - np.min(gaps) > 0.1 * np.max(gaps)
+        gaps = np.diff(compensated.centroids)
         assert np.max(gaps) - np.min(gaps) <= 1e-6 * np.max(gaps)
 
     def test_requires_zero_mean(self):

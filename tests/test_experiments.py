@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pvlc import experiments
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams
 from pvlc.experiments import (
@@ -15,7 +16,7 @@ from pvlc.experiments import (
     sweep_response,
     write_csv,
 )
-from pvlc.link import LEVELS, LinkConfig, ac_couple, receive, run_link, training_sequence, tx_waveform
+from pvlc.link import LinkConfig, run_link, simulate
 from pvlc.seeding import mix64, payload_bits, point_seed
 
 PARAMS = PVCellParams(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0)
@@ -175,6 +176,31 @@ class TestBerSweeps:
         with pytest.raises(ValueError, match="dcl_grid values must be >= 0"):
             sweep_ber_vs_dcl([-50.0, 100.0], [0.3], config, MODULE, **FAST)
 
+    @pytest.mark.parametrize("n_jobs,repetitions,workers", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
+    def test_pool_no_larger_than_cells(self, monkeypatch, n_jobs, repetitions, workers):
+        """A stand-in executor records max_workers, and no process starts."""
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        sweep = lambda n: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE,  # noqa: E731
+                                         repetitions=repetitions, payload_symbols=2000, n_jobs=n)
+        rows = sweep(n_jobs)
+        assert started == ([] if workers is None else [workers])
+        assert rows == sweep(1)
+
     @pytest.mark.parametrize("sweep", [
         lambda **kw: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, **kw),
         lambda **kw: sweep_ber_vs_dcl([0.0], [0.3], base_config(), MODULE, **kw),
@@ -189,13 +215,9 @@ class TestEye:
     def noiseless_eye(self, tx_dc, mod_index, traces=32):
         config = LinkConfig(tx_dc_lux=tx_dc, mod_index=mod_index, thermal_sigma_v=0.0,
                             shot_noise_enabled=False, seed=11)
-        rng = np.random.default_rng(config.seed)
-        payload = payload_bits(2 * 512, config.seed)
-        train = training_sequence(config)
-        from pvlc.link import encode_pam4
-        symbols = np.concatenate([LEVELS[train], encode_pam4(payload)])
-        v = ac_couple(receive(tx_waveform(symbols, config), MODULE, config, rng))
-        return export_eye(v[len(train) * config.samples_per_symbol:], config.samples_per_symbol, traces), config
+        (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed))
+        sps = config.samples_per_symbol
+        return export_eye(trace.v[config.training_symbols * sps:], sps, traces), config
 
     def test_constant_input_identical_rows(self):
         eye = export_eye(np.full(160, 2.5), 8, 8)

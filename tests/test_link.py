@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
-    _central_means,
-    _run_link,
+    _slice,
     FEC_BER_THRESHOLD,
     GRAY,
     LEVELS,
@@ -22,9 +22,9 @@ from pvlc.link import (
     encode_pam4,
     levels_to_bits,
     receive,
-    receive_levels,
     run_link,
     shot_noise_sigma,
+    simulate,
     symbol_statistics,
     train_slicer,
     training_sequence,
@@ -227,13 +227,10 @@ class TestAcCouple:
 
 
 class TestDetection:
-    def noiseless_stats(self, tx_dc, mod_index, config=None):
-        config = config or quiet_config(tx_dc_lux=tx_dc, mod_index=mod_index)
-        train = training_sequence(config)
-        v = receive(channel(tx_waveform(LEVELS[train], config), config), MODULE, config, np.random.default_rng(0))
-        stats = symbol_statistics(ac_couple(v), config.samples_per_symbol)
-        centroids, thresholds = train_slicer(stats, train)
-        return centroids, thresholds
+    def noiseless_stats(self, tx_dc, mod_index):
+        config = quiet_config(tx_dc_lux=tx_dc, mod_index=mod_index)
+        (trace,) = simulate(config, MODULE, payload_bits(512, 0))
+        return trace.centroids, trace.thresholds
 
     def test_centroid_compression_at_low_lux(self):
         centroids, _ = self.noiseless_stats(250.0, 0.3)
@@ -391,9 +388,7 @@ class TestLevelTable:
         config = self.config(overrides)
         payload = payload_bits(4000, 5)
         reference, _ = samplewise_pipeline(config, payload)
-        levels = np.concatenate([training_sequence(config), bits_to_levels(payload)])
-        gathered = receive_levels(levels, MODULE, config, np.random.default_rng(config.seed))
-        assert np.array_equal(gathered, reference)
+        assert np.array_equal(simulate(config, MODULE, payload)[0].v, ac_couple(reference))
 
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
     def test_error_count_identical(self, overrides):
@@ -422,18 +417,23 @@ class TestLevelTable:
 
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
     def test_fused_statistics_bit_identical(self, overrides):
-        """AC coupling fused with the slicer's means equals ac_couple then symbol_statistics."""
+        """simulate's in-place AC coupling, statistics and slicer equal the public stages."""
         config = self.config(overrides)
-        sps = config.samples_per_symbol
+        train = training_sequence(config)
         payload = payload_bits(4000, 8)
         received, _ = samplewise_pipeline(config, payload)
-        v = received.reshape(-1, sps)
-        reference = symbol_statistics(ac_couple(received), sps)
-        assert np.array_equal(_central_means(v, v.ravel().mean()), reference)
+        v = ac_couple(received)
+        stats = symbol_statistics(v, config.samples_per_symbol)
+        (trace,) = simulate(config, MODULE, payload)
+        assert np.array_equal(trace.stats, stats)
+        centroids, thresholds = train_slicer(stats[: len(train)], train)
+        assert np.array_equal(trace.centroids, centroids)
+        assert np.array_equal(trace.thresholds, thresholds)
+        assert np.array_equal(levels_to_bits(trace.detected), detect_pam4(v, config, train))
 
 
 class TestSharedRealization:
-    """_run_link slices one waveform for the plain and the post-processed receivers."""
+    """simulate slices one waveform for the plain and the post-processed receivers."""
 
     @pytest.mark.parametrize("lpf", [None, 2.5e5])
     def test_entries_equal_separate_runs(self, lpf):
@@ -441,11 +441,11 @@ class TestSharedRealization:
         payload = payload_bits(40_000, 9)
         cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=4.0)
         post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
-        plain, compensated, again = _run_link(config, MODULE, payload, [None, post, None])
+        plain, compensated, again = (t.report for t in simulate(config, MODULE, payload, (None, post, None)))
         assert plain == again == run_link(config, MODULE, payload)
         assert compensated == run_link(config, MODULE, payload, postprocess=post)
         assert plain.bits_errored > 0 and compensated.bits_errored > 0
-        assert _run_link(config, MODULE, payload, [post, post]) == [compensated, compensated]
+        assert [t.report for t in simulate(config, MODULE, payload, (post, post))] == [compensated, compensated]
 
     def test_single_postprocess_may_work_in_place(self):
         def in_place(v):
@@ -461,15 +461,62 @@ class TestSharedRealization:
         payload = payload_bits(20_000, 1)
         expected = run_link(config, MODULE, payload, postprocess=copying)
         assert run_link(config, MODULE, payload, postprocess=in_place) == expected
-        # the plain decisions come first, whatever the entry order
-        plain = run_link(config, MODULE, payload)
-        assert _run_link(config, MODULE, payload, [in_place, None]) == [expected, plain]
 
     def test_shared_waveform_is_read_only(self):
         def in_place(v):
             v *= 2.0
             return v
 
-        with pytest.raises(ValueError, match="read-only"):
-            _run_link(quiet_config(), MODULE, payload_bits(2000, 1), [in_place, in_place])
+        # the plain trace's waveform must not change after it was read
+        for postprocesses in [(in_place, in_place), (None, in_place)]:
+            with pytest.raises(ValueError, match="read-only"):
+                simulate(quiet_config(), MODULE, payload_bits(2000, 1), postprocesses)
 
+
+
+# Statistics of magnitude 0 or >= 1e-6: sums and power-of-two scales of
+# them never reach the subnormal range, where scaling would round.
+MAGNITUDES = st.floats(1e-6, 1e3)
+STATISTIC = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda f: -f))
+CENTROIDS = st.lists(STATISTIC, min_size=4, max_size=4)
+PAYLOAD = st.lists(STATISTIC, min_size=1, max_size=64)
+
+
+def slice_at(centroids, payload):
+    """Payload decisions of a slicer trained on one symbol per level, so its centroids are exact."""
+    return _slice(np.concatenate([centroids, payload]), np.arange(4))[2]
+
+
+class TestSlicerProperties:
+    @settings(deadline=None)
+    @given(CENTROIDS, PAYLOAD)
+    def test_nearest_centroid(self, centroids, payload):
+        centroids, payload = np.array(centroids), np.array(payload)
+        distance = np.abs(payload[:, None] - centroids)
+        nearest = np.sort(distance, axis=1)
+        # equidistant symbols (up to the rounding of a midpoint) may go either way
+        decided = nearest[:, 1] - nearest[:, 0] > 1e-9
+        assume(decided.any())
+        detected = slice_at(centroids, payload)
+        assert np.array_equal(detected[decided], np.argmin(distance, axis=1)[decided])
+
+    @settings(deadline=None)
+    @given(CENTROIDS, PAYLOAD)
+    def test_sorted_centroids_match_binary_search(self, centroids, payload):
+        centroids = np.sort(centroids)
+        _, thresholds, detected = _slice(np.concatenate([centroids, payload]), np.arange(4))
+        assert np.array_equal(thresholds, 0.5 * (centroids[:-1] + centroids[1:]))
+        assert np.array_equal(detected, np.searchsorted(thresholds, payload))
+
+    @settings(deadline=None)
+    @given(st.lists(STATISTIC, min_size=64, max_size=64), PAYLOAD, st.integers(-20, 20))
+    def test_power_of_two_scale_invariant(self, training, payload, exponent):
+        stats = np.array(training + payload)
+        train = np.tile(np.arange(4), 16)
+        assert np.array_equal(_slice(stats * 2.0**exponent, train)[2], _slice(stats, train)[2])
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    def test_gray_round_trip(self, bits):
+        bits = bits[: len(bits) // 2 * 2]
+        assert levels_to_bits(bits_to_levels(bits)).tolist() == bits
