@@ -293,6 +293,8 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError(f"model card fields missing={sorted(missing)} extra={sorted(extra)}")
     if not isinstance(card["fit"], dict) or set(card["fit"]) != MODEL_CARD_FIT_FIELDS:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
+    if card["fit"]["converged"] is not True:
+        raise SchemaError(f"model card converged must be true, got {card['fit']['converged']!r}")
     # JSON true/false parse as bool, a subclass of int: reject them too.
     if isinstance(card["cell_count"], bool) or not isinstance(card["cell_count"], int):
         raise SchemaError(f"model card cell_count must be an integer, got {card['cell_count']!r}")

@@ -97,7 +97,7 @@ def _build_parser():
     sweep.add_argument("--out-dir", help="output directory (default .)")
     sweep.add_argument("--payload-symbols", type=int)
     sweep.add_argument("--reps", type=int, help="repetitions per BER point (default 5)")
-    sweep.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    sweep.add_argument("--jobs", type=int, help="worker threads (default 1)")
     sweep.add_argument("--lux-max", type=float, help="response/derivative grid end (default 2000)")
     sweep.add_argument("--lux-step", type=float, help="response/derivative grid step (default 10)")
     sweep.add_argument("--cells-list", help="comma list of cell counts (default 1,2,4,8)")

@@ -3,13 +3,15 @@
 Every BER cell derives its seed from the base seed and its operating
 coordinates (see `pvlc.seeding`), so re-running any single cell in
 isolation reproduces it bit-for-bit and parallel execution is
-indistinguishable from serial.  Repeated cells are summarized by their
+indistinguishable from serial.  Parallel cells run on threads in one
+process and share one read-only payload; their numpy and scipy work
+releases the interpreter lock.  Repeated cells are summarized by their
 median BER.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -81,39 +83,32 @@ def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec, form: str = "exac
     return rows
 
 
-@lru_cache(maxsize=1)
-def _payload(n_bits, base_seed):
-    """The sweep payload, built once per worker process and kept read-only."""
-    bits = payload_bits(n_bits, base_seed)
-    bits.flags.writeable = False
-    return bits
-
-
 def _ber_cell(args):
-    """BERs of one link realization; module-level so process pools can pickle it.
+    """BERs of one link realization, one per entry of `postdist_cfgs`.
 
-    The payload travels as (n_bits, base_seed) and comes from a per-worker
-    cache, which is cheaper than shipping the bit array itself.  The cell
-    returns one BER per entry of `postdist_cfgs`: None is the plain
-    receiver, a PostDistortionConfig the post-distorted one, and all are
-    detected from the same noisy waveform.
+    None is the plain receiver, a PostDistortionConfig the post-distorted
+    one, and all are detected from the same noisy waveform.  `bits` is the
+    sweep's read-only payload, shared by every cell.
     """
-    config, spec, n_bits, base_seed, postdist_cfgs = args
+    config, spec, bits, postdist_cfgs = args
     postprocesses = [
         None if cfg is None else partial(post_distort, spec=spec, cfg=cfg) for cfg in postdist_cfgs
     ]
-    traces = simulate(config, spec, _payload(n_bits, base_seed), postprocesses)
+    traces = simulate(config, spec, bits, postprocesses)
     return tuple(trace.report.ber for trace in traces)
 
 
 def _run_cells(cells, n_jobs):
-    """Per-cell BER tuples as an array of shape (cells, entries)."""
-    n_jobs = min(n_jobs, len(cells))   # a forking pool starts every worker at its first submit
+    """Per-cell BER tuples, shape (cells, entries); a failing cell cancels the queued ones."""
+    n_jobs = min(n_jobs, len(cells))
     if n_jobs <= 1:
         results = [_ber_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_ber_cell, cells, chunksize=1))
+        pool = ThreadPoolExecutor(max_workers=n_jobs)
+        try:
+            results = list(pool.map(_ber_cell, cells))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return np.asarray(results, dtype=float)
 
 
@@ -136,6 +131,8 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    bits = payload_bits(2 * payload_symbols, base_config.seed)
+    bits.flags.writeable = False
     cells = []
     for tx, m, dcl in points:
         for rep in range(repetitions):
@@ -144,7 +141,7 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
             if gain_cap is not None:
                 operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
                 entries = (None, PostDistortionConfig(operating_lux=operating, gain_cap=gain_cap))
-            cells.append((config, spec, 2 * payload_symbols, base_config.seed, entries))
+            cells.append((config, spec, bits, entries))
     bers = _run_cells(cells, n_jobs)
     return np.median(bers.reshape(len(points), repetitions, -1), axis=1)
 

@@ -233,6 +233,15 @@ class TestModelCard:
         with pytest.raises(SchemaError, match=f"{field} must be a finite number"):
             load_model_card(json.dumps(card).encode())
 
+    @pytest.mark.parametrize("value", [False, "no", "true", 1, None])
+    def test_unconverged_fit_rejected(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        card["fit"]["converged"] = value
+        with pytest.raises(SchemaError, match="converged"):
+            load_model_card(json.dumps(card).encode())
+
     def test_negative_rmse_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_model_card(self.spec(), self.fit(), path)

@@ -160,6 +160,22 @@ class TestSweep:
         assert lines[0] == "tx_dc_lux,mod_index,ber,pass_fec"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("kind,grid,rows", [
+        ("ber_vs_dcl", ["--dcl-grid", "0,300", "--dcl-m-list", "0.2,0.4"], 4),
+        ("postdist", ["--m-grid", "0.2,0.3,0.4"], 3),
+    ])
+    def test_ber_sweep_csv_independent_of_jobs(self, model_json, tmp_path, kind, grid, rows):
+        csvs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["sweep", kind, str(model_json), "--out-dir", str(out), *grid, "--seed", "5",
+                         "--thermal-sigma", "1.5e-3", "--payload-symbols", "2000", "--reps", "2",
+                         "--jobs", jobs])
+            assert code == 0
+            csvs.append((out / f"{kind}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].count(b"\n") == 1 + rows
+
     def test_eye_sweep(self, model_json, tmp_path):
         out = tmp_path / "eye"
         code = main(["sweep", "eye", str(model_json), "--out-dir", str(out),
@@ -209,6 +225,14 @@ class TestBoundary:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
+
+    def test_unconverged_model_card_rejected(self, model_json, capsys):
+        card = json.loads(model_json.read_text())
+        card["fit"]["converged"] = False
+        model_json.write_text(json.dumps(card))
+        code = main(["simulate", str(model_json), "--seed", "1", "--payload-symbols", "100"])
+        assert code == 2
+        assert "converged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0, 2.5, "3", True])
     def test_config_file_value_rejected(self, model_json, tmp_path, capsys, value):

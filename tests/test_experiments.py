@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,6 @@ from pvlc import experiments
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams
 from pvlc.experiments import (
-    _payload,
     CSV_HEADERS,
     ber_point_config,
     export_eye,
@@ -16,7 +19,7 @@ from pvlc.experiments import (
     sweep_response,
     write_csv,
 )
-from pvlc.link import LinkConfig, run_link, simulate
+from pvlc.link import DetectionError, LinkConfig, run_link, simulate
 from pvlc.seeding import mix64, payload_bits, point_seed
 
 PARAMS = PVCellParams(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0)
@@ -109,11 +112,21 @@ class TestBerSweeps:
             point = ber_point_config(config, config.tx_dc_lux, m, dcl, 0)
             assert run_link(point, MODULE, payload).ber == ber
 
-    def test_parallel_serial_identical(self):
-        config = base_config()
-        serial = sweep_ber_vs_m([0.1, 0.3], [200.0, 650.0], config, MODULE, n_jobs=1, **FAST)
-        parallel = sweep_ber_vs_m([0.1, 0.3], [200.0, 650.0], config, MODULE, n_jobs=2, **FAST)
-        assert serial == parallel
+    @pytest.mark.parametrize("sweep", [
+        lambda **kw: sweep_ber_vs_m([0.1, 0.3], [200.0, 650.0], base_config(), MODULE, **kw),
+        lambda **kw: sweep_ber_vs_dcl([0.0, 300.0], [0.2, 0.4], base_config(), MODULE, **kw),
+        lambda **kw: sweep_postdistortion([0.2, 0.3, 0.4], base_config(tx_dc_lux=350.0), MODULE, **kw),
+    ], ids=["ber_vs_m", "ber_vs_dcl", "postdist"])
+    def test_parallel_serial_identical(self, sweep):
+        """Also with more threads than cores, switching threads every microsecond."""
+        serial = sweep(n_jobs=1, **FAST)
+        assert sweep(n_jobs=2, **FAST) == serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert sweep(n_jobs=8, **FAST) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_noise_off_all_zero(self):
         config = base_config(thermal_sigma_v=0.0, shot_noise_enabled=False)
@@ -149,17 +162,40 @@ class TestBerSweeps:
         assert rows == expected
         assert all(plain > 0 and compensated > 0 for _, plain, compensated in rows)
 
-    def test_payload_cache_keys_on_length_and_seed(self):
-        _payload.cache_clear()
-        first = _payload(1000, 1)
-        assert _payload(1000, 1) is first
-        assert not first.flags.writeable
-        assert np.array_equal(first, payload_bits(1000, 1))
-        other_seed = _payload(1000, 2)
-        assert np.array_equal(other_seed, payload_bits(1000, 2))
-        assert not np.array_equal(other_seed, first)
-        longer = _payload(2000, 1)
-        assert longer.size == 2000 and np.array_equal(longer, payload_bits(2000, 1))
+    def test_cells_share_one_read_only_payload(self, monkeypatch):
+        seen = []
+
+        def recording_simulate(config, spec, bits, postprocesses):
+            seen.append(bits)
+            return simulate(config, spec, bits, postprocesses)
+
+        monkeypatch.setattr(experiments, "simulate", recording_simulate)
+        config = base_config()
+        sweep_ber_vs_dcl([0.0, 100.0], [0.3], config, MODULE, n_jobs=2, **FAST)
+        assert len(seen) == 2 * FAST["repetitions"]
+        assert all(bits is seen[0] for bits in seen)
+        assert not seen[0].flags.writeable
+        assert np.array_equal(seen[0], payload_bits(2 * FAST["payload_symbols"], config.seed))
+
+    def test_failing_cell_cancels_queued_cells(self, monkeypatch):
+        """The first cell raises; the queued ones are cancelled, not run."""
+        calls = []
+        lock = threading.Lock()
+
+        def failing_simulate(*args):
+            with lock:
+                calls.append(args[0])
+                first = len(calls) == 1
+            if not first:
+                time.sleep(0.01)
+            raise DetectionError("stand-in failure")
+
+        monkeypatch.setattr(experiments, "simulate", failing_simulate)
+        cells = 40
+        with pytest.raises(DetectionError):
+            sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, repetitions=cells,
+                           payload_symbols=100, n_jobs=2)
+        assert 1 <= len(calls) < cells
 
     def test_grid_validation(self):
         config = base_config()
@@ -178,23 +214,20 @@ class TestBerSweeps:
 
     @pytest.mark.parametrize("n_jobs,repetitions,workers", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
     def test_pool_no_larger_than_cells(self, monkeypatch, n_jobs, repetitions, workers):
-        """A stand-in executor records max_workers, and no process starts."""
+        """A stand-in executor records max_workers, and no thread starts."""
         started = []
 
         class RecordingExecutor:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
+            def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingExecutor)
         sweep = lambda n: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE,  # noqa: E731
                                          repetitions=repetitions, payload_symbols=2000, n_jobs=n)
         rows = sweep(n_jobs)
