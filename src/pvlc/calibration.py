@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .device import ModuleSpec, PVCellParams, K_B, Q_E
+from .device import ModuleSpec, PVCellParams, K_B, Q_E, is_finite
 
 # fit configuration
 N_BOUNDS = (0.5, 5.0)          # ideality factor search range
@@ -166,7 +166,6 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
         while lam < 1e14:
             step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-30 * np.eye(2), -jtr)
             if np.max(np.abs(step)) < STEP_TOLERANCE:
-                converged = True
                 break
             trial = _project(theta + step)
             trial_cost = cost_at(trial)
@@ -177,16 +176,11 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
                 accepted = True
                 break
             lam *= 10.0
-        if converged:
-            break
         if not accepted:
-            # no descent step available: treat as a stationary point
+            # a step below tolerance, or no descent step available: a stationary point
             converged = True
             break
         iterations += 1
-        if np.max(np.abs(step)) < STEP_TOLERANCE:
-            converged = True
-            break
 
     n_hat, a_hat = np.exp(theta)
     rmse = float(np.sqrt(cost / len(samples)))
@@ -295,13 +289,14 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
     if card["fit"]["converged"] is not True:
         raise SchemaError(f"model card converged must be true, got {card['fit']['converged']!r}")
-    # JSON true/false parse as bool, a subclass of int: reject them too.
-    if isinstance(card["cell_count"], bool) or not isinstance(card["cell_count"], int):
-        raise SchemaError(f"model card cell_count must be an integer, got {card['cell_count']!r}")
-    # Python's json reads Infinity and NaN as floats
+    # JSON true/false parse as bool, a subclass of int: reject them too.  Python's
+    # json reads Infinity and NaN as floats and integers of any size as ints.
+    count = card["cell_count"]
+    if isinstance(count, bool) or not isinstance(count, int) or not is_finite(count):
+        raise SchemaError(f"model card cell_count must be an integer, got {count!r}")
     numbers = {key: card[key] for key in ("n", "i0", "eta", "temperature")} | {"rmse": card["fit"]["rmse"]}
     for key, value in numbers.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not is_finite(value):
             raise SchemaError(f"model card {key} must be a finite number, got {value!r}")
     if numbers["rmse"] < 0:
         raise SchemaError("model card rmse must be >= 0")

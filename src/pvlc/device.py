@@ -6,6 +6,7 @@ in series multiplies that voltage by N.  All operations here are pure
 functions; everything is valid for scalars or numpy arrays of illuminance.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ K_B = 1.380649e-23       # Boltzmann constant, J/K
 Q_E = 1.602176634e-19    # elementary charge, C
 
 DEFAULT_TEMPERATURE = 300.0  # K
+
+
+def is_finite(value) -> bool:
+    """True for a finite real number; an int of any size is compared exactly, never overflows."""
+    return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

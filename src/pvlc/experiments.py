@@ -20,6 +20,7 @@ from .device import (
     ModuleSpec,
     PVCellParams,
     first_derivative,
+    is_finite,
     module_voltage,
     second_derivative,
 )
@@ -52,6 +53,8 @@ def _check_grid(grid, name):
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError(f"{name} must not be empty")
+    if not all(map(is_finite, grid)):
+        raise ValueError(f"{name} values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} must be strictly ascending")
     return grid
@@ -68,14 +71,14 @@ def sweep_response(lux_grid, cell_counts, spec: ModuleSpec):
     return rows
 
 
-def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec, form: str = "exact"):
+def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec):
     """Response slope and curvature table: rows of (lux, cells, dv, d2v)."""
     lux_grid = np.asarray(list(lux_grid), dtype=float)
     rows = []
     for cells in cell_counts:
         module = replace(spec, cell_count=int(cells))
-        dv = first_derivative(lux_grid, module, form)
-        d2v = second_derivative(lux_grid, module, form)
+        dv = first_derivative(lux_grid, module)
+        d2v = second_derivative(lux_grid, module)
         rows.extend(
             (float(l), int(cells), float(a), float(b))
             for l, a, b in zip(lux_grid, dv, d2v)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from .device import ModuleSpec, Q_E, module_voltage
+from .device import ModuleSpec, Q_E, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
 
@@ -67,6 +67,10 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("bit_rate", "mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
+                     "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"):
+            if not is_finite(getattr(self, name) or 0.0):   # lpf_cutoff_hz may be None
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.bit_rate > 0):
             raise ValueError("bit_rate must be > 0")
         if not (isinstance(self.samples_per_symbol, (int, np.integer)) and self.samples_per_symbol >= 2):

@@ -233,6 +233,22 @@ class TestModelCard:
         with pytest.raises(SchemaError, match=f"{field} must be a finite number"):
             load_model_card(json.dumps(card).encode())
 
+    @pytest.mark.parametrize("field", ["cell_count", "n", "i0", "eta", "temperature", "rmse"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, field):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        (card["fit"] if field == "rmse" else card)[field] = 10**400
+        with pytest.raises(SchemaError, match=f"{field} must be"):
+            load_model_card(json.dumps(card).encode())
+
+    def test_large_finite_integer_accepted(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model_card(self.spec(), self.fit(), path)
+        card = json.loads(path.read_text())
+        card["temperature"] = 2**70
+        assert load_model_card(json.dumps(card).encode()).params.temperature == 2.0**70
+
     @pytest.mark.parametrize("value", [False, "no", "true", 1, None])
     def test_unconverged_fit_rejected(self, tmp_path, value):
         path = tmp_path / "model.json"

@@ -290,6 +290,57 @@ class TestBoundary:
         assert main(["simulate", str(model_json), "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["bits_total"] == 1000
 
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("ber_vs_dcl", "--dcl-grid", "nan"),
+        ("ber_vs_dcl", "--dcl-grid", "0,inf"),
+        ("ber_vs_m", "--illuminances", "425,inf"),
+    ])
+    def test_non_finite_grid_rejected(self, model_json, tmp_path, capsys, kind, flag, value):
+        out = tmp_path / "out"
+        code = main(["sweep", kind, str(model_json), "--out-dir", str(out), "--seed", "1",
+                     "--payload-symbols", "500", "--reps", "1", flag, value])
+        assert code == 2
+        assert f"{flag} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [[1.5, 2.7], [True], [1, "2"], [2**1024]],
+                             ids=["1.5,2.7", "true", "1,'2'", "2**1024"])
+    def test_config_file_list_items_checked(self, model_json, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cells_list": value}))
+        out = tmp_path / "out"
+        code = main(["sweep", "response", str(model_json), "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 2
+        assert "--cells-list must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values,message", [
+        ({"temp": 10**400}, "--temp must be a positive number"),
+        ({"cells": 10**400}, "--cells must be a positive integer"),
+        ({"out": 3}, "--out must be a string"),
+    ], ids=["temp", "cells", "out"])
+    def test_fit_config_file_value_rejected(self, samples_csv, tmp_path, capsys, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code = main(["fit", str(samples_csv), "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_file_out_dir_must_be_string(self, model_json, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": 5}))
+        code = main(["sweep", "response", str(model_json), "--config", str(cfg)])
+        assert code == 2
+        assert "--out-dir must be a string, got 5" in capsys.readouterr().err
+
+    def test_model_card_integer_beyond_float_range(self, model_json, capsys):
+        card = json.loads(model_json.read_text())
+        card["n"] = 10**400
+        model_json.write_text(json.dumps(card))
+        code = main(["simulate", str(model_json), "--seed", "1", "--payload-symbols", "100"])
+        assert code == 2
+        assert "model card n must be a finite number" in capsys.readouterr().err
+
     def test_manifest_written_atomically(self, model_json, tmp_path, monkeypatch):
         out = tmp_path / "out"
         argv = ["sweep", "response", str(model_json), "--out-dir", str(out), "--lux-max", "20"]
@@ -304,6 +355,68 @@ class TestBoundary:
         assert main(argv + ["--lux-step", "5"]) == 2
         assert (out / "run_manifest.json").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["response.csv", "run_manifest.json"]
+
+
+class TestManifest:
+    """run_manifest.json holds the positionals, every resolved option and the LinkConfig."""
+
+    def test_default_ber_vs_m_records_every_option(self, model_json, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_sweep(*args):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(cli.experiments, "sweep_ber_vs_m", fake_sweep)
+        out = tmp_path / "out"
+        assert main(["sweep", "ber_vs_m", str(model_json), "--out-dir", str(out), "--seed", "1"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "sweep" and manifest["kind"] == "ber_vs_m"
+        assert manifest["model"] == str(model_json)
+        assert (manifest["reps"], manifest["jobs"], manifest["payload_symbols"]) == (5, 1, 250000)
+        assert manifest["m_grid"] == [0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.45]
+        assert manifest["illuminances"] == [200.0, 350.0, 500.0, 650.0]
+        assert manifest["out_dir"] == str(out)
+        assert manifest["link"] == dataclasses.asdict(LinkConfig(seed=1))
+        assert manifest["link"]["thermal_sigma_v"] == 0.0015
+        m_grid, illuminances, config, _, reps, symbols, jobs = calls[0]
+        assert (list(m_grid), list(illuminances), config, reps, symbols, jobs) == (
+            manifest["m_grid"], manifest["illuminances"], LinkConfig(seed=1), 5, 250000, 1)
+
+    def test_manifest_records_given_values(self, model_json, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_grid": [0.2, 0.4], "tx_dc": 300}))
+        assert main(["sweep", "postdist", str(model_json), "--config", str(cfg), "--out-dir", str(out),
+                     "--seed", "3", "--payload-symbols", "500", "--reps", "1", "--gain-cap", "2"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["m_grid"] == [0.2, 0.4]
+        assert (manifest["payload_symbols"], manifest["reps"], manifest["gain_cap"]) == (500, 1, 2.0)
+        assert manifest["link"]["tx_dc_lux"] == 300.0 and manifest["link"]["seed"] == 3
+
+    def test_postdist_records_its_defaults(self, model_json, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.experiments, "sweep_postdistortion", lambda *args: [])
+        out = tmp_path / "out"
+        assert main(["sweep", "postdist", str(model_json), "--out-dir", str(out), "--seed", "1"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["m_grid"] == [0.2, 0.25, 0.3, 0.35, 0.4]
+        assert manifest["link"]["tx_dc_lux"] == 350.0
+
+    def test_fit_records_every_option(self, samples_csv, tmp_path):
+        out = tmp_path / "model.json"
+        assert main(["fit", str(samples_csv), "--out", str(out), "--temp", "300"]) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["samples"] == str(samples_csv)
+        assert {k: manifest[k] for k in ("cells", "temp", "eta", "out")} == {
+            "cells": 1, "temp": 300.0, "eta": 2e-9, "out": str(out)}
+        assert "link" not in manifest and manifest["iterations"] >= 1
+
+    def test_help_shows_table_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in ["(default 250000)", "(default 5)", "(default 1,2,4,8)", "(default 0,50,...,1500)"]:
+            assert phrase in text
 
 
 class TestEntryPoint:

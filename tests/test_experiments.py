@@ -212,6 +212,19 @@ class TestBerSweeps:
         with pytest.raises(ValueError, match="dcl_grid values must be >= 0"):
             sweep_ber_vs_dcl([-50.0, 100.0], [0.3], config, MODULE, **FAST)
 
+    @pytest.mark.parametrize("sweep,grid", [
+        (lambda g: sweep_ber_vs_dcl(g, [0.3], base_config(), MODULE, **FAST), "dcl_grid"),
+        (lambda g: sweep_ber_vs_dcl([0.0], g, base_config(), MODULE, **FAST), "m_list"),
+        (lambda g: sweep_ber_vs_m([0.3], g, base_config(), MODULE, **FAST), "illuminance_list"),
+        (lambda g: sweep_postdistortion(g, base_config(), MODULE, **FAST), "m_grid"),
+    ], ids=["dcl_grid", "m_list", "illuminance_list", "m_grid"])
+    @pytest.mark.parametrize("values", [[float("nan")], [0.0, float("inf")], [425.0, float("inf")]],
+                             ids=["nan", "0,inf", "425,inf"])
+    def test_non_finite_grid_rejected(self, monkeypatch, sweep, grid, values):
+        monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=f"{grid} values must be finite"):
+            sweep(values)
+
     @pytest.mark.parametrize("n_jobs,repetitions,workers", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
     def test_pool_no_larger_than_cells(self, monkeypatch, n_jobs, repetitions, workers):
         """A stand-in executor records max_workers, and no thread starts."""

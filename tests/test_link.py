@@ -42,6 +42,19 @@ def quiet_config(**overrides):
     return LinkConfig(**base)
 
 
+class TestLinkConfig:
+    @pytest.mark.parametrize("field", ["bit_rate", "mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
+                                       "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 10**400], ids=["nan", "inf", "10**400"])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinkConfig(**{field: value})
+
+    def test_finite_values_accepted(self):
+        config = LinkConfig(dcl_lux=2**70, ambient_lux=1e300, lpf_cutoff_hz=None)
+        assert config.dcl_lux == 2**70 and config.lpf_cutoff_hz is None
+
+
 class TestMapping:
     def test_mapping_definition(self):
         assert encode_pam4([0, 0])[0] == -1.0

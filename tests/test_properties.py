@@ -1,0 +1,109 @@
+"""Property tests of the input boundary: CLI options, link flags and model cards.
+
+Any JSON value a config file or a model card can hold must come out either
+as a value of the declared kind or as a ValueError naming what was wrong;
+any other exception is a crash at the boundary.  No sweep or link runs here.
+"""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pvlc import cli
+from pvlc.calibration import load_model_card
+from pvlc.device import ModuleSpec, is_finite
+from pvlc.link import LinkConfig
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-100, 100)
+    | st.integers(-(10**400), 10**400)
+    | st.floats()                  # NaN and +-inf included
+    | st.text(max_size=8)
+    | st.sampled_from(["1,2", "0.3", "0,inf", "nan", "1e400", ",", "2.5", " 4 "])
+)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=4)
+    | st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3)
+)
+
+# Each test runs these values, then hypothesis' own draws: a per-key budget
+# of 25 keeps the 38 parametrized tests to a few seconds.
+EDGE_CASES = [10**400, -(2**1024), float("nan"), float("inf"), True, 0, [1.5], [True], [], "nan", "0,inf"]
+
+
+def edge_cases(test):
+    for value in EDGE_CASES:
+        test = example(value=value)(test)
+    return settings(deadline=None, max_examples=25)(test)
+
+
+OPTION_KEYS = [(command, key) for command, options in cli.OPTIONS.items() for key, *_ in options]
+LINK_KEYS = {key: (field, kind) for key, field, kind, _ in cli.LINK_FLAGS}
+
+
+def is_number(value, kind):
+    return type(value) is kind and is_finite(value)
+
+
+@edge_cases
+@given(value=JSON_VALUES)
+@pytest.mark.parametrize("command,key", OPTION_KEYS)
+def test_resolved_option_has_declared_kind(command, key, value):
+    options = cli.OPTIONS[command]
+    kind, default = next((k, d) for name, k, d, _ in options if name == key)
+    try:
+        resolved = cli._resolve({key: value}, options)[key]
+    except ValueError as exc:
+        assert cli._flag(key) in str(exc)
+        return
+    if value is None:
+        assert resolved is default
+    elif isinstance(kind, list):
+        assert isinstance(resolved, list) and resolved
+        assert all(is_number(item, kind[0]) for item in resolved)
+    elif kind is str:
+        assert isinstance(resolved, str)
+    else:
+        assert is_number(resolved, kind) and resolved > 0
+
+
+@edge_cases
+@given(value=JSON_VALUES)
+@pytest.mark.parametrize("key", [*LINK_KEYS, "no_shot"])
+def test_link_config_has_declared_kind(key, value):
+    field, kind = LINK_KEYS.get(key, ("shot_noise_enabled", bool))
+    merged = {"seed": 1} | {key: value}
+    try:
+        config = cli._link_config(merged)
+    except ValueError as exc:
+        # the flag check names the flag, LinkConfig's range check the field
+        assert cli._flag(key) in str(exc) or field in str(exc)
+        return
+    assert isinstance(config, LinkConfig)
+    if value is not None:
+        resolved = getattr(config, field)
+        assert type(resolved) is bool if kind is bool else is_number(resolved, kind)
+
+
+VALID_CARD = {
+    "cell_count": 2, "n": 1.5, "i0": 1e-10, "eta": 2e-9, "temperature": 300.0,
+    "fit": {"rmse": 1e-4, "converged": True},
+}
+
+
+@edge_cases
+@given(value=JSON_VALUES)
+@pytest.mark.parametrize("field", [*VALID_CARD, "fit.rmse", "fit.converged"])
+def test_model_card_field_yields_spec_or_value_error(field, value):
+    card = json.loads(json.dumps(VALID_CARD))
+    *parent, name = field.split(".")
+    (card["fit"] if parent else card)[name] = value
+    try:
+        spec = load_model_card(json.dumps(card).encode())
+    except ValueError:
+        return
+    assert isinstance(spec, ModuleSpec)
