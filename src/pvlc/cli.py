@@ -7,7 +7,7 @@ clock: a seed must come from --seed or the config file.  `pvlc fit` and
 every option's resolved value and the LinkConfig used.
 
 Exit codes: 0 success, 1 computation-level failure (non-convergence,
-unidentifiable data), 2 usage or validation error.
+unidentifiable data), 2 usage or validation error, or arrays too large for memory.
 """
 
 import argparse
@@ -99,6 +99,9 @@ def main(argv=None):
         return 1
     except (ValueError, OSError) as exc:   # calibration's ParseError and SchemaError too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # numpy's _ArrayMemoryError too
+        print(f"error: the requested arrays do not fit in memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
 
 

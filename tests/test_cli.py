@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pvlc import calibration, cli
+from pvlc import calibration, cli, experiments
 from pvlc.cli import LINK_FLAGS, main
 from pvlc.calibration import load_model_card
 from pvlc.device import K_B, Q_E
@@ -340,6 +340,45 @@ class TestBoundary:
         code = main(["simulate", str(model_json), "--seed", "1", "--payload-symbols", "100"])
         assert code == 2
         assert "model card n must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "ber_vs_m"], ["sweep", "ber_vs_dcl"],
+                                         ["sweep", "postdist"], ["sweep", "eye"]],
+                             ids=["simulate", "ber_vs_m", "ber_vs_dcl", "postdist", "eye"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_negative_seed_rejected(self, model_json, tmp_path, capsys, command, given):
+        # every command that runs the link rejects it the same way, before any output
+        out = tmp_path / "out"
+        argv = [*command, str(model_json), "--payload-symbols", "500"]
+        if command[0] == "sweep":
+            argv += ["--out-dir", str(out)]
+        if given == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    NUMPY_MEMORY_ERROR = "Unable to allocate 14.2 PiB for an array with shape (2000000000000000,) and data type int64"
+
+    @pytest.mark.parametrize("command,module", [(["simulate"], cli), (["sweep", "ber_vs_m"], experiments)],
+                             ids=["simulate", "ber_vs_m"])
+    @pytest.mark.parametrize("message,shown", [(NUMPY_MEMORY_ERROR, NUMPY_MEMORY_ERROR), ("", "MemoryError")],
+                             ids=["numpy", "bare"])
+    def test_memory_error_exits_2(self, model_json, tmp_path, capsys, monkeypatch, command, module,
+                                  message, shown):
+        def payload_bits(*_args):
+            raise MemoryError(message)
+
+        # the stand-in raises at once, so the test allocates nothing large
+        monkeypatch.setattr(module, "payload_bits", payload_bits)
+        argv = [*command, str(model_json), "--seed", "1", "--payload-symbols", "1000000000000000"]
+        if command[0] == "sweep":
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: the requested arrays do not fit in memory: {shown}\n"
 
     def test_manifest_written_atomically(self, model_json, tmp_path, monkeypatch):
         out = tmp_path / "out"

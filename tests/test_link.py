@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats as sp_stats
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
+    _dibits,
     _slice,
     FEC_BER_THRESHOLD,
     GRAY,
@@ -53,6 +55,15 @@ class TestLinkConfig:
     def test_finite_values_accepted(self):
         config = LinkConfig(dcl_lux=2**70, ambient_lux=1e300, lpf_cutoff_hz=None)
         assert config.dcl_lux == 2**70 and config.lpf_cutoff_hz is None
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            LinkConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(3), 2**64 - 1])
+    def test_seed_accepted(self, seed):
+        assert LinkConfig(seed=seed).seed == seed
 
 
 class TestMapping:
@@ -485,6 +496,41 @@ class TestSharedRealization:
             with pytest.raises(ValueError, match="read-only"):
                 simulate(quiet_config(), MODULE, payload_bits(2000, 1), postprocesses)
 
+
+class TestSymbolMemory:
+    """Symbol-rate integers are uint8, so a cell holds little beyond its float64 waveforms."""
+
+    def test_symbol_arrays_are_uint8(self):
+        config = LinkConfig(seed=2)
+        payload = payload_bits(2000, 2)
+        assert bits_to_levels(payload).dtype == np.uint8
+        assert training_sequence(config).dtype == np.uint8
+        assert simulate(config, MODULE, payload)[0].detected.dtype == np.uint8
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=200), st.sampled_from([np.int64, np.uint8, bool, float]))
+    def test_dibits_match_int64_formula(self, bits, dtype):
+        b = np.array(bits[: len(bits) // 2 * 2], dtype=np.int64)
+        dibits = 2 * b[0::2] + b[1::2]
+        assert _dibits(b).dtype == np.uint8
+        assert np.array_equal(_dibits(b), dibits)
+        assert np.array_equal(bits_to_levels(b.astype(dtype)), np.array([0, 1, 3, 2])[dibits])
+
+    @pytest.mark.parametrize("receivers,budget", [(1, 1.4), (2, 2.5)], ids=["plain", "plain+post"])
+    def test_peak_memory_within_budget(self, receivers, budget):
+        """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes."""
+        config = LinkConfig(seed=3)
+        payload = payload_bits(100_000, 3)   # built before tracing: the sweeps share it
+        cfg = PostDistortionConfig(operating_lux=config.tx_dc_lux, gain_cap=4.0)
+        post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+        tracemalloc.start()
+        try:
+            simulate(config, MODULE, payload, (None, post)[:receivers])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        waveform_bytes = (config.training_symbols + payload.size // 2) * config.samples_per_symbol * 8
+        assert peak <= budget * waveform_bytes
 
 
 # Statistics of magnitude 0 or >= 1e-6: sums and power-of-two scales of
