@@ -149,7 +149,7 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
     prefactor = cell_count * v_t  # model is prefactor * n * ln(a*L + 1)
 
     def cost_at(theta):
-        return float(np.sum(_residuals(theta, lux, volts, prefactor) ** 2))
+        return float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
 
     theta = _initial_guess(lux, volts, prefactor)
     cost = cost_at(theta)
@@ -194,11 +194,6 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
     )
 
 
-def _residuals(theta, lux, volts, prefactor):
-    n, a = np.exp(theta)
-    return prefactor * n * np.log1p(a * lux) - volts
-
-
 def _residuals_and_jacobian(theta, lux, volts, prefactor):
     n, a = np.exp(theta)
     basis = np.log1p(a * lux)
@@ -224,7 +219,7 @@ def _initial_guess(lux, volts, prefactor):
         c = float(volts @ basis) / denom
         n = np.clip(c / prefactor, *N_BOUNDS)
         theta = _project(np.log([n, a]))
-        cost = float(np.sum(_residuals(theta, lux, volts, prefactor) ** 2))
+        cost = float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
         if best is None or cost < best[0]:
             best = (cost, theta)
     return best[1]

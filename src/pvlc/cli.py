@@ -1,10 +1,11 @@
 """Command-line interface: calibration fits, single link runs, and sweeps.
 
-Every flag can also be supplied through a JSON config file (--config); an
-explicit flag wins over the file.  Randomized commands never seed from the
-clock: a seed must come from --seed or the config file.  `pvlc fit` and
-`pvlc sweep` write run_manifest.json beside their outputs: the positionals,
-every option's resolved value and the LinkConfig used.
+`pvlc fit`, `pvlc simulate` and each `pvlc sweep <kind>` take only the
+options they read (`--help` lists them), as flags or as keys of a JSON config
+file (--config); an explicit flag wins over the file.  Randomized commands
+never seed from the clock: a seed must come from --seed or the config file.
+`pvlc fit` and `pvlc sweep` write run_manifest.json beside their outputs: the
+positionals, the resolved value of each option read and the LinkConfig used.
 
 Exit codes: 0 success, 1 computation-level failure (non-convergence,
 unidentifiable data), 2 usage or validation error, or arrays too large for memory.
@@ -36,7 +37,6 @@ from .seeding import payload_bits
 
 import numpy as np
 
-SWEEP_KINDS = (*CSV_HEADERS, "eye")
 DEFAULT_ETA = 2e-9  # A/lux, assumed conversion factor when none is calibrated
 POSITIONALS = ("command", "kind", "model", "samples")   # not settable from a config file
 
@@ -54,9 +54,21 @@ LINK_FLAGS = (
     ("training", "training_symbols", int, "training symbols"),
     ("seed", "seed", int, "RNG seed (required; never clock-seeded)"),
 )
+LINK_COMMANDS = ("simulate", "ber_vs_m", "ber_vs_dcl", "postdist", "eye")   # take the link flags
 
-# (flag key, kind, default, help) of every other option, per command.  Kind int or float
-# takes a positive number, str a string, [int] or [float] a comma list; None defaults by kind.
+# (flag key, kind, default, help) of every other option, per command and sweep kind.  Kind
+# int or float takes a positive number, str a string, [int] or [float] a comma list.
+OUT_DIR = (("out_dir", str, ".", "output directory"),)
+BER_RUNS = (   # in the argument order of the experiments.sweep_ber_* functions
+    ("reps", int, experiments.REPETITIONS, "repetitions per BER point"),
+    ("payload_symbols", int, experiments.PAYLOAD_SYMBOLS, "payload length per BER cell"),
+    ("jobs", int, 1, "worker threads"),
+)
+LUX_GRID = (
+    ("lux_max", float, 2000.0, "grid end, lux"),
+    ("lux_step", float, 10.0, "grid step, lux"),
+    ("cells_list", [int], experiments.RESPONSE_CELL_COUNTS, "comma list of cell counts"),
+)
 OPTIONS = {
     "fit": (
         ("cells", int, 1, "number of series cells"),
@@ -64,25 +76,22 @@ OPTIONS = {
         ("eta", float, DEFAULT_ETA, "conversion factor A/lux"),
         ("out", str, "model.json", "model card path"),
     ),
-    "simulate": (
-        ("payload_symbols", int, experiments.PAYLOAD_SYMBOLS, "payload length"),
+    "simulate": (("payload_symbols", int, experiments.PAYLOAD_SYMBOLS, "payload length"),),
+    "response": OUT_DIR + LUX_GRID,
+    "derivatives": OUT_DIR + LUX_GRID,
+    "ber_vs_m": OUT_DIR + BER_RUNS + (
+        ("m_grid", [float], experiments.M_GRID, "comma list of modulation indices"),
+        ("illuminances", [float], experiments.BER_VS_M_ILLUMINANCES, "comma list of tx DC illuminances"),
     ),
-    "sweep": (
-        ("out_dir", str, ".", "output directory"),
-        ("payload_symbols", int, experiments.PAYLOAD_SYMBOLS, "payload length per BER cell"),
-        ("reps", int, experiments.REPETITIONS, "repetitions per BER point"),
-        ("jobs", int, 1, "worker threads"),
-        ("lux_max", float, 2000.0, "response/derivative grid end"),
-        ("lux_step", float, 10.0, "response/derivative grid step"),
-        ("cells_list", [int], experiments.RESPONSE_CELL_COUNTS, "comma list of cell counts"),
-        ("m_grid", [float], None, "comma list of modulation indices (default per kind)"),
-        ("illuminances", [float], experiments.BER_VS_M_ILLUMINANCES,
-         "comma list of tx DC illuminances (ber_vs_m)"),
-        ("dcl_grid", [float], experiments.DCL_GRID, "comma list of DCL illuminances (ber_vs_dcl)"),
-        ("dcl_m_list", [float], experiments.DCL_M_LIST, "comma list of m values (ber_vs_dcl)"),
+    "ber_vs_dcl": OUT_DIR + BER_RUNS + (
+        ("dcl_grid", [float], experiments.DCL_GRID, "comma list of DCL illuminances"),
+        ("dcl_m_list", [float], experiments.DCL_M_LIST, "comma list of modulation indices"),
+    ),
+    "postdist": OUT_DIR + BER_RUNS + (
+        ("m_grid", [float], experiments.POSTDIST_M_GRID, "comma list of modulation indices"),
         ("gain_cap", float, DEFAULT_GAIN_CAP, "post-distortion gain cap"),
-        ("traces", int, 64, "eye traces to export"),
     ),
+    "eye": OUT_DIR + (("traces", int, 64, "eye traces to export"),),
 }
 
 
@@ -91,7 +100,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         merged = _merge_config(args)
-        options = _resolve(merged, OPTIONS[args.command])
+        options = _resolve(merged, OPTIONS[merged.get("kind", args.command)])
         command = {"fit": _cmd_fit, "simulate": _cmd_simulate, "sweep": _cmd_sweep}[args.command]
         return command(merged, options)
     except DegenerateDataError as exc:
@@ -109,32 +118,27 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="pvlc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pvlc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="fit a module model card from a lux,volts CSV")
-    fit.add_argument("samples", help="calibration CSV with header lux,volts")
-    fit.add_argument("--config", help="JSON file with flag defaults")
-    _add_link_flags(sub.add_parser("simulate", help="run one PAM4 link and print a BER report"))
-    sweep = sub.add_parser("sweep", help="write sweep CSV datasets")
-    sweep.add_argument("kind", choices=SWEEP_KINDS)
-    _add_link_flags(sweep)
-    for command, options in OPTIONS.items():
+    sub.add_parser("fit", help="fit a module model card from a lux,volts CSV")
+    sub.add_parser("simulate", help="run one PAM4 link and print a BER report")
+    kinds = sub.add_parser("sweep", help="write sweep CSV datasets").add_subparsers(dest="kind", required=True)
+    for name, options in OPTIONS.items():   # one sub-parser per row
+        cmd = sub.choices.get(name) or kinds.add_parser(name, help=f"write {name}.csv")
+        if name == "fit":
+            cmd.add_argument("samples", help="calibration CSV with header lux,volts")
+        else:
+            cmd.add_argument("model", help="model card JSON from 'pvlc fit'")
+        cmd.add_argument("--config", help="JSON file with flag defaults")
+        if name in LINK_COMMANDS:
+            for key, _, kind, help_text in LINK_FLAGS:
+                cmd.add_argument(_flag(key), type=kind, help=help_text)
+            cmd.add_argument("--no-shot", action="store_true", default=None, help="disable shot noise")
         for key, kind, default, help_text in options:
-            if isinstance(kind, list) and default:
+            if isinstance(kind, list):
                 shown = [f"{x:g}" for x in default]
                 default = ",".join(shown if len(shown) <= 8 else [*shown[:2], "...", shown[-1]])
-            if default is not None:
-                help_text += f" (default {default})"
-            sub.choices[command].add_argument(_flag(key), type=None if isinstance(kind, list) else kind,
-                                              help=help_text)
+            cmd.add_argument(_flag(key), type=None if isinstance(kind, list) else kind,
+                             help=f"{help_text} (default {default})")
     return parser
-
-
-def _add_link_flags(cmd):
-    cmd.add_argument("model", help="model card JSON from 'pvlc fit'")
-    cmd.add_argument("--config", help="JSON file with flag defaults")
-    for key, _, kind, help_text in LINK_FLAGS:
-        cmd.add_argument(_flag(key), type=kind, help=help_text)
-    cmd.add_argument("--no-shot", action="store_true", default=None, help="disable shot noise")
 
 
 def _merge_config(args):
@@ -154,10 +158,11 @@ def _merge_config(args):
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
         flags = set(merged).difference(POSITIONALS)
+        command = " ".join(merged[key] for key in ("command", "kind") if key in merged)
         for key, value in file_values.items():
             key = key.replace("-", "_")
             if key not in flags:
-                raise ValueError(f"unknown config file key {key!r} for 'pvlc {merged['command']}'")
+                raise ValueError(f"unknown config file key {key!r} for 'pvlc {command}'")
             if merged.get(key) is None:
                 merged[key] = value
     return merged
@@ -231,12 +236,10 @@ def _cmd_sweep(merged, options):
     spec = load_model_card(_require_file(merged["model"], "model card"))
     if kind == "postdist" and merged.get("tx_dc") is None:
         merged["tx_dc"] = experiments.POSTDIST_TX_LUX
-    config = None if kind in ("response", "derivatives") else _link_config(merged)
-    if kind in ("ber_vs_m", "postdist") and options["m_grid"] is None:
-        options["m_grid"] = experiments.M_GRID if kind == "ber_vs_m" else experiments.POSTDIST_M_GRID
+    config = _link_config(merged) if kind in LINK_COMMANDS else None
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = (options["reps"], options["payload_symbols"], options["jobs"])   # of each BER point
+    runs = [options[key] for key, *_ in BER_RUNS if key in options]   # of each BER point
 
     if kind in ("response", "derivatives"):
         step = options["lux_step"]

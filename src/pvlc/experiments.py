@@ -60,30 +60,25 @@ def _check_grid(grid, name):
     return grid
 
 
-def sweep_response(lux_grid, cell_counts, spec: ModuleSpec):
-    """DC response table: rows of (lux, cells, volts)."""
+def _curve_table(lux_grid, cell_counts, spec: ModuleSpec, curves):
+    """Rows of (lux, cells, *one value per curve) for each cell count."""
     lux_grid = np.asarray(list(lux_grid), dtype=float)
     rows = []
     for cells in cell_counts:
         module = replace(spec, cell_count=int(cells))
-        volts = module_voltage(lux_grid, module)
-        rows.extend((float(l), int(cells), float(v)) for l, v in zip(lux_grid, volts))
+        columns = [curve(lux_grid, module) for curve in curves]
+        rows.extend((float(l), int(cells), *map(float, values)) for l, *values in zip(lux_grid, *columns))
     return rows
+
+
+def sweep_response(lux_grid, cell_counts, spec: ModuleSpec):
+    """DC response table: rows of (lux, cells, volts)."""
+    return _curve_table(lux_grid, cell_counts, spec, (module_voltage,))
 
 
 def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec):
     """Response slope and curvature table: rows of (lux, cells, dv, d2v)."""
-    lux_grid = np.asarray(list(lux_grid), dtype=float)
-    rows = []
-    for cells in cell_counts:
-        module = replace(spec, cell_count=int(cells))
-        dv = first_derivative(lux_grid, module)
-        d2v = second_derivative(lux_grid, module)
-        rows.extend(
-            (float(l), int(cells), float(a), float(b))
-            for l, a, b in zip(lux_grid, dv, d2v)
-        )
-    return rows
+    return _curve_table(lux_grid, cell_counts, spec, (first_derivative, second_derivative))
 
 
 def _ber_cell(args):

@@ -145,8 +145,11 @@ def bits_to_levels(bits):
 
 
 def levels_to_bits(level_indices):
-    """Inverse Gray mapping from level indices back to bits."""
-    codes = GRAY[np.asarray(level_indices, dtype=np.int64)]
+    """Inverse Gray mapping from level indices (integers 0..3) back to bits."""
+    levels = np.asarray(level_indices)
+    if levels.dtype.kind not in "iu" or (levels.size and (levels.min() < 0 or levels.max() > 3)):
+        raise ValueError(f"level indices must be integers in 0..3, got {levels.dtype} {levels}")
+    codes = GRAY[levels]
     bits = np.empty(2 * codes.size, dtype=np.int64)
     bits[0::2] = codes >> 1
     bits[1::2] = codes & 1

@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from pvlc import calibration, cli, experiments
-from pvlc.cli import LINK_FLAGS, main
+from pvlc.cli import LINK_FLAGS, OPTIONS, main
 from pvlc.calibration import load_model_card
 from pvlc.device import K_B, Q_E
 from pvlc.link import BerReport, LinkConfig
+
+
+SWEEP_KINDS = [*experiments.CSV_HEADERS, "eye"]
+LINKED = ("simulate", "ber_vs_m", "ber_vs_dcl", "postdist", "eye")   # the commands that run the link
 
 
 @pytest.fixture()
@@ -221,7 +225,8 @@ class TestBoundary:
     ])
     def test_sweep_rejects(self, model_json, tmp_path, capsys, kind, flag, value):
         out = tmp_path / "out"
-        code = main(["sweep", kind, str(model_json), "--out-dir", str(out), "--seed", "1", flag, value])
+        seed = ["--seed", "1"] if kind in LINKED else []
+        code = main(["sweep", kind, str(model_json), "--out-dir", str(out), *seed, flag, value])
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
@@ -348,7 +353,9 @@ class TestBoundary:
     def test_negative_seed_rejected(self, model_json, tmp_path, capsys, command, given):
         # every command that runs the link rejects it the same way, before any output
         out = tmp_path / "out"
-        argv = [*command, str(model_json), "--payload-symbols", "500"]
+        argv = [*command, str(model_json)]
+        if command[-1] != "eye":
+            argv += ["--payload-symbols", "500"]
         if command[0] == "sweep":
             argv += ["--out-dir", str(out)]
         if given == "flag":
@@ -451,11 +458,82 @@ class TestManifest:
         assert "link" not in manifest and manifest["iterations"] >= 1
 
     def test_help_shows_table_defaults(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--help"])
+        for kind in ("ber_vs_dcl", "response"):
+            with pytest.raises(SystemExit):
+                main(["sweep", kind, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         for phrase in ["(default 250000)", "(default 5)", "(default 1,2,4,8)", "(default 0,50,...,1500)"]:
             assert phrase in text
+
+
+LINK_KEYS = {key for key, *_ in LINK_FLAGS} | {"no_shot"}
+EVERY_KEY = {key for options in OPTIONS.values() for key, *_ in options} | LINK_KEYS
+
+
+def command_words(name):
+    return [name] if name in ("fit", "simulate") else ["sweep", name]
+
+
+def row_keys(name):
+    """The flag keys `name` reads: its OPTIONS row, plus the link flags for a link command."""
+    keys = {key for key, *_ in OPTIONS[name]}
+    return keys | LINK_KEYS if name in LINKED else keys
+
+
+class TestKindRows:
+    """Each command and sweep kind takes exactly its OPTIONS row (and the link flags if it links)."""
+
+    @pytest.mark.parametrize("name", ["fit", "simulate", *SWEEP_KINDS])
+    def test_flag_outside_row_rejected(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        keys = row_keys(name)
+        # argparse takes an unambiguous prefix of a flag as that flag (--out for --out-dir)
+        foreign = [key for key in sorted(EVERY_KEY - keys)
+                   if not any(cli._flag(k).startswith(cli._flag(key)) for k in keys)]
+        assert len(foreign) >= 5
+        for key in foreign:
+            with pytest.raises(SystemExit) as exc:
+                main([*command_words(name), str(tmp_path / "input"), cli._flag(key), "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {cli._flag(key)} 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["fit", "simulate", *SWEEP_KINDS])
+    def test_config_key_outside_row_rejected(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        command = " ".join(command_words(name))
+        for key in sorted(EVERY_KEY - row_keys(name)):
+            cfg.write_text(json.dumps({key: 1}))
+            assert main([*command_words(name), str(tmp_path / "input"), "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config file key {key!r} for 'pvlc {command}'\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("kind", ["response", "derivatives"])
+    def test_link_flags_on_curve_sweep_rejected(self, model_json, tmp_path, capsys, monkeypatch, kind):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", kind, str(model_json), "--seed", "-1", "--tx-dc", "-5", "--lux-max", "20"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1 --tx-dc -5" in capsys.readouterr().err
+        assert not any(work.iterdir())
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_manifest_holds_only_the_row(self, model_json, tmp_path, monkeypatch, kind):
+        for function in ("sweep_response", "sweep_derivatives", "sweep_ber_vs_m", "sweep_ber_vs_dcl",
+                         "sweep_postdistortion"):
+            monkeypatch.setattr(cli.experiments, function, lambda *args: [])
+        out = tmp_path / "out"
+        seed = ["--seed", "1"] if kind in LINKED else []
+        assert main(["sweep", kind, str(model_json), "--out-dir", str(out), *seed]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        expected = {"command", "kind", "model", "version"} | {key for key, *_ in OPTIONS[kind]}
+        assert set(manifest) == expected | ({"link"} if kind in LINKED else set())
+        for key, option_kind, default, _ in OPTIONS[kind]:
+            if key != "out_dir":
+                assert manifest[key] == (list(default) if isinstance(option_kind, list) else default)
 
 
 class TestEntryPoint:

@@ -94,6 +94,17 @@ class TestMapping:
         with pytest.raises(ValueError):
             encode_pam4([0, 2])
 
+    @pytest.mark.parametrize("levels", [[1.7, 2.2], [True, False], [-1], [4], np.array([0, 3, 255], dtype=np.uint8)],
+                             ids=["float", "bool", "-1", "4", "uint8-255"])
+    def test_levels_to_bits_rejects(self, levels):
+        # a cast would truncate 1.7 to 1 and wrap -1 to level 3
+        with pytest.raises(ValueError, match="level indices must be integers in 0..3"):
+            levels_to_bits(levels)
+
+    def test_levels_to_bits_takes_every_integer_dtype(self):
+        for dtype in (np.uint8, np.int8, np.int64, np.uint64):
+            assert levels_to_bits(np.arange(4, dtype=dtype)).tolist() == [0, 0, 0, 1, 1, 1, 1, 0]
+
 
 class TestCheckBits:
     """Integer and bool bits get a min/max check, other dtypes np.isin."""

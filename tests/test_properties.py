@@ -41,7 +41,9 @@ def edge_cases(test):
     return settings(deadline=None, max_examples=25)(test)
 
 
-OPTION_KEYS = [(command, key) for command, options in cli.OPTIONS.items() for key, *_ in options]
+# One test per sweep option checks it in the row of every sweep kind that reads it.
+GROUPS = {name: name if name in ("fit", "simulate") else "sweep" for name in cli.OPTIONS}
+OPTION_KEYS = sorted({(GROUPS[name], key) for name, options in cli.OPTIONS.items() for key, *_ in options})
 LINK_KEYS = {key: (field, kind) for key, field, kind, _ in cli.LINK_FLAGS}
 
 
@@ -53,7 +55,12 @@ def is_number(value, kind):
 @given(value=JSON_VALUES)
 @pytest.mark.parametrize("command,key", OPTION_KEYS)
 def test_resolved_option_has_declared_kind(command, key, value):
-    options = cli.OPTIONS[command]
+    for name, options in cli.OPTIONS.items():
+        if GROUPS[name] == command and key in (option for option, *_ in options):
+            check_resolved(options, key, value)
+
+
+def check_resolved(options, key, value):
     kind, default = next((k, d) for name, k, d, _ in options if name == key)
     try:
         resolved = cli._resolve({key: value}, options)[key]
