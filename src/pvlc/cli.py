@@ -54,7 +54,9 @@ LINK_FLAGS = (
     ("training", "training_symbols", int, "training symbols"),
     ("seed", "seed", int, "RNG seed (required; never clock-seeded)"),
 )
-LINK_COMMANDS = ("simulate", "ber_vs_m", "ber_vs_dcl", "postdist", "eye")   # take the link flags
+# the commands that take the link flags, each with the LinkConfig defaults it overrides
+LINK_COMMANDS = {"simulate": {}, "ber_vs_m": {}, "ber_vs_dcl": {}, "eye": {},
+                 "postdist": {"tx_dc_lux": experiments.POSTDIST_TX_LUX}}
 
 # (flag key, kind, default, help) of every other option, per command and sweep kind.  Kind
 # int or float takes a positive number, str a string, [int] or [float] a comma list.
@@ -115,21 +117,25 @@ def main(argv=None):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="pvlc", description=__doc__)
+    # no parser takes a prefix of a flag for the flag: it could stand for another command's option
+    parser = argparse.ArgumentParser(prog="pvlc", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"pvlc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fit", help="fit a module model card from a lux,volts CSV")
-    sub.add_parser("simulate", help="run one PAM4 link and print a BER report")
-    kinds = sub.add_parser("sweep", help="write sweep CSV datasets").add_subparsers(dest="kind", required=True)
+    sub.add_parser("fit", help="fit a module model card from a lux,volts CSV", allow_abbrev=False)
+    sub.add_parser("simulate", help="run one PAM4 link and print a BER report", allow_abbrev=False)
+    kinds = sub.add_parser("sweep", help="write sweep CSV datasets", allow_abbrev=False).add_subparsers(
+        dest="kind", required=True)
     for name, options in OPTIONS.items():   # one sub-parser per row
-        cmd = sub.choices.get(name) or kinds.add_parser(name, help=f"write {name}.csv")
+        cmd = sub.choices.get(name) or kinds.add_parser(name, help=f"write {name}.csv", allow_abbrev=False)
         if name == "fit":
             cmd.add_argument("samples", help="calibration CSV with header lux,volts")
         else:
             cmd.add_argument("model", help="model card JSON from 'pvlc fit'")
         cmd.add_argument("--config", help="JSON file with flag defaults")
         if name in LINK_COMMANDS:
-            for key, _, kind, help_text in LINK_FLAGS:
+            for key, field, kind, help_text in LINK_FLAGS:
+                if field in LINK_COMMANDS[name]:
+                    help_text = f"{help_text} (default {LINK_COMMANDS[name][field]:g})"
                 cmd.add_argument(_flag(key), type=kind, help=help_text)
             cmd.add_argument("--no-shot", action="store_true", default=None, help="disable shot noise")
         for key, kind, default, help_text in options:
@@ -188,12 +194,12 @@ def _require_file(path_str, what):
     return path
 
 
-def _link_config(merged):
-    """LinkConfig from the link flags given; the others keep its defaults."""
+def _link_config(merged, name):
+    """LinkConfig from the link flags given; the others keep command `name`'s defaults."""
     if merged.get("seed") is None:
         raise ValueError("an explicit --seed (or config 'seed') is required")
-    fields = {field: _typed(merged, key, kind) for key, field, kind, _ in LINK_FLAGS
-              if merged.get(key) is not None}
+    fields = LINK_COMMANDS[name] | {field: _typed(merged, key, kind) for key, field, kind, _ in LINK_FLAGS
+                                    if merged.get(key) is not None}
     if merged.get("no_shot") is not None:
         fields["shot_noise_enabled"] = not _typed(merged, "no_shot", bool)
     return LinkConfig(**fields)
@@ -225,7 +231,7 @@ def _cmd_fit(merged, options):
 
 def _cmd_simulate(merged, options):
     spec = load_model_card(_require_file(merged["model"], "model card"))
-    config = _link_config(merged)
+    config = _link_config(merged, "simulate")
     report = run_link(config, spec, payload_bits(2 * options["payload_symbols"], config.seed))
     print(json.dumps(asdict(report)))
     return 0
@@ -234,9 +240,7 @@ def _cmd_simulate(merged, options):
 def _cmd_sweep(merged, options):
     kind = merged["kind"]
     spec = load_model_card(_require_file(merged["model"], "model card"))
-    if kind == "postdist" and merged.get("tx_dc") is None:
-        merged["tx_dc"] = experiments.POSTDIST_TX_LUX
-    config = _link_config(merged) if kind in LINK_COMMANDS else None
+    config = _link_config(merged, kind) if kind in LINK_COMMANDS else None
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = [options[key] for key, *_ in BER_RUNS if key in options]   # of each BER point

@@ -458,11 +458,12 @@ class TestManifest:
         assert "link" not in manifest and manifest["iterations"] >= 1
 
     def test_help_shows_table_defaults(self, capsys):
-        for kind in ("ber_vs_dcl", "response"):
+        for kind in ("ber_vs_dcl", "response", "postdist"):
             with pytest.raises(SystemExit):
                 main(["sweep", kind, "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for phrase in ["(default 250000)", "(default 5)", "(default 1,2,4,8)", "(default 0,50,...,1500)"]:
+        for phrase in ["(default 250000)", "(default 5)", "(default 1,2,4,8)", "(default 0,50,...,1500)",
+                       "transmitter DC illuminance, lux (default 350)"]:
             assert phrase in text
 
 
@@ -486,10 +487,7 @@ class TestKindRows:
     @pytest.mark.parametrize("name", ["fit", "simulate", *SWEEP_KINDS])
     def test_flag_outside_row_rejected(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
-        keys = row_keys(name)
-        # argparse takes an unambiguous prefix of a flag as that flag (--out for --out-dir)
-        foreign = [key for key in sorted(EVERY_KEY - keys)
-                   if not any(cli._flag(k).startswith(cli._flag(key)) for k in keys)]
+        foreign = sorted(EVERY_KEY - row_keys(name))
         assert len(foreign) >= 5
         for key in foreign:
             with pytest.raises(SystemExit) as exc:
@@ -508,6 +506,20 @@ class TestKindRows:
             assert main([*command_words(name), str(tmp_path / "input"), "--config", str(cfg)]) == 2
             assert capsys.readouterr().err == f"error: unknown config file key {key!r} for 'pvlc {command}'\n"
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv", [
+        # fit's --out and --cells are prefixes of --out-dir and --cells-list
+        ["sweep", "response", "model.json", "--out", "o", "--cells", "2", "--lux-max", "20"],
+        ["simulate", "model.json", "--seed", "1", "--payload", "10"],
+        ["sweep", "eye", "model.json", "--seed", "1", "--trace", "8"],
+    ])
+    def test_flag_prefix_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", ["response", "derivatives"])
     def test_link_flags_on_curve_sweep_rejected(self, model_json, tmp_path, capsys, monkeypatch, kind):

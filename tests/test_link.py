@@ -302,6 +302,34 @@ class TestDetection:
             detect_pam4(np.zeros(config.samples_per_symbol + 1), config, training_sequence(config))
 
 
+class TestSymbolStatistics:
+    """symbol_statistics sums the central columns left to right; numpy's mean sums 8 or more pairwise."""
+
+    def received(self, sps):
+        config = LinkConfig(samples_per_symbol=sps, seed=sps)
+        l_rx = channel(tx_waveform(encode_pam4(payload_bits(4000, sps)), config), config)
+        return receive(l_rx, MODULE, config, np.random.default_rng(sps))
+
+    def numpy_mean(self, v, sps):
+        lo = sps // 4
+        return v.reshape(-1, sps)[:, lo : sps - lo].mean(axis=1)
+
+    @pytest.mark.parametrize("sps", range(2, 14))
+    def test_equals_numpy_mean_below_8_central_samples(self, sps):
+        for v in (self.received(sps), ac_couple(self.received(sps))):
+            assert np.array_equal(symbol_statistics(v, sps), self.numpy_mean(v, sps))
+
+    @pytest.mark.parametrize("sps", [14, 16, 32, 64])
+    def test_close_to_numpy_mean_for_wider_windows(self, sps):
+        v = self.received(sps)
+        np.testing.assert_allclose(symbol_statistics(v, sps), self.numpy_mean(v, sps), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("sps", [1, 0, 2.0])
+    def test_samples_per_symbol_validated(self, sps):
+        with pytest.raises(ValueError, match="samples_per_symbol"):
+            symbol_statistics(np.zeros(8), sps)
+
+
 class TestRunLink:
     def test_deterministic(self):
         config = LinkConfig(seed=99)
@@ -527,10 +555,12 @@ class TestSymbolMemory:
         assert np.array_equal(_dibits(b), dibits)
         assert np.array_equal(bits_to_levels(b.astype(dtype)), np.array([0, 1, 3, 2])[dibits])
 
-    @pytest.mark.parametrize("receivers,budget", [(1, 1.4), (2, 2.5)], ids=["plain", "plain+post"])
-    def test_peak_memory_within_budget(self, receivers, budget):
+    # the low-pass cell fits only because the filtered voltage is built before the waveform
+    @pytest.mark.parametrize("receivers,lpf,budget", [(1, None, 1.25), (2, None, 2.5), (1, 5e5, 2.2)],
+                             ids=["plain", "plain+post", "plain-lpf"])
+    def test_peak_memory_within_budget(self, receivers, lpf, budget):
         """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes."""
-        config = LinkConfig(seed=3)
+        config = LinkConfig(seed=3, lpf_cutoff_hz=lpf)
         payload = payload_bits(100_000, 3)   # built before tracing: the sweeps share it
         cfg = PostDistortionConfig(operating_lux=config.tx_dc_lux, gain_cap=4.0)
         post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
@@ -584,6 +614,22 @@ class TestSlicerProperties:
         stats = np.array(training + payload)
         train = np.tile(np.arange(4), 16)
         assert np.array_equal(_slice(stats * 2.0**exponent, train)[2], _slice(stats, train)[2])
+
+    @settings(deadline=None)
+    @given(st.lists(STATISTIC, min_size=64, max_size=64), PAYLOAD, STATISTIC)
+    def test_shift_invariant_away_from_thresholds(self, training, payload, shift):
+        stats = np.array(training + payload)
+        train = np.tile(np.arange(4), 16)
+        centroids, thresholds, detected = _slice(stats, train)
+        shifted = _slice(stats + shift, train)[2]
+        # Shifting rounds each statistic, and the centroids (means of 16) and
+        # thresholds built from them, by some ulps of the largest magnitude
+        # involved: only symbols and centroid gaps wider than a margin of 64
+        # such ulps must keep their decision.
+        margin = 64 * np.spacing(max(np.abs(stats).max(), abs(shift)))
+        clear = np.abs(stats[64:, None] - thresholds).min(axis=1) > margin
+        if np.diff(np.sort(centroids)).min() > margin:
+            assert np.array_equal(shifted[clear], detected[clear])
 
     @settings(deadline=None)
     @given(st.lists(st.integers(0, 1), max_size=200))

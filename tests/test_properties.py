@@ -85,7 +85,7 @@ def test_link_config_has_declared_kind(key, value):
     field, kind = LINK_KEYS.get(key, ("shot_noise_enabled", bool))
     merged = {"seed": 1} | {key: value}
     try:
-        config = cli._link_config(merged)
+        config = cli._link_config(merged, "simulate")
     except ValueError as exc:
         # the flag check names the flag, LinkConfig's range check the field
         assert cli._flag(key) in str(exc) or field in str(exc)
