@@ -30,7 +30,7 @@ from pvlc.seeding import payload_bits
 
 # 1. noiseless sanity: unlimited-gain inversion equalizes the PAM4 gaps
 config = LinkConfig(tx_dc_lux=350.0, mod_index=0.3, thermal_sigma_v=0.0,
-                    shot_noise_enabled=False, seed=0)
+                    noise_bandwidth_hz=0.0, seed=0)
 cfg = PostDistortionConfig(350.0, gain_cap=math.inf)
 traces = simulate(config, DEFAULT_MODULE, payload_bits(2 * 512, config.seed),
                   (None, lambda v: post_distort(v, DEFAULT_MODULE, cfg)))

@@ -40,16 +40,16 @@ import numpy as np
 DEFAULT_ETA = 2e-9  # A/lux, assumed conversion factor when none is calibrated
 POSITIONALS = ("command", "kind", "model", "samples")   # not settable from a config file
 
-# (flag key, LinkConfig field, type, help) of every link flag but --no-shot
+# (flag key, LinkConfig field, type, help) of every link flag, one per LinkConfig field
 LINK_FLAGS = (
-    ("bit_rate", "bit_rate", float, None),
+    ("bit_rate", "bit_rate", float, "bit rate, bits per second"),
     ("sps", "samples_per_symbol", int, "samples per symbol"),
-    ("mod_index", "mod_index", float, None),
+    ("mod_index", "mod_index", float, "modulation index, peak AC over DC illuminance, in (0, 1]"),
     ("tx_dc", "tx_dc_lux", float, "transmitter DC illuminance, lux"),
     ("dcl", "dcl_lux", float, "compensation light illuminance, lux"),
-    ("ambient", "ambient_lux", float, None),
+    ("ambient", "ambient_lux", float, "ambient light illuminance, lux"),
     ("thermal_sigma", "thermal_sigma_v", float, "thermal noise RMS, volts"),
-    ("noise_bandwidth", "noise_bandwidth_hz", float, None),
+    ("noise_bandwidth", "noise_bandwidth_hz", float, "effective shot-noise bandwidth, Hz (0 disables shot noise)"),
     ("lpf_cutoff", "lpf_cutoff_hz", float, "single-pole low-pass cutoff, Hz"),
     ("training", "training_symbols", int, "training symbols"),
     ("seed", "seed", int, "RNG seed (required; never clock-seeded)"),
@@ -137,7 +137,6 @@ def _build_parser():
                 if field in LINK_COMMANDS[name]:
                     help_text = f"{help_text} (default {LINK_COMMANDS[name][field]:g})"
                 cmd.add_argument(_flag(key), type=kind, help=help_text)
-            cmd.add_argument("--no-shot", action="store_true", default=None, help="disable shot noise")
         for key, kind, default, help_text in options:
             if isinstance(kind, list):
                 shown = [f"{x:g}" for x in default]
@@ -200,8 +199,6 @@ def _link_config(merged, name):
         raise ValueError("an explicit --seed (or config 'seed') is required")
     fields = LINK_COMMANDS[name] | {field: _typed(merged, key, kind) for key, field, kind, _ in LINK_FLAGS
                                     if merged.get(key) is not None}
-    if merged.get("no_shot") is not None:
-        fields["shot_noise_enabled"] = not _typed(merged, "no_shot", bool)
     return LinkConfig(**fields)
 
 
@@ -273,15 +270,15 @@ def _flag(key):
 
 
 def _typed(merged, key, kind, positive=False):
-    """A given flag's value, checked to be of type `kind` (int, float, bool or str).
+    """A given flag's value, checked to be of type `kind` (int, float or str).
 
     A config file can hold any JSON, so its values are checked here, where a wrong
     type gets a message naming the flag.  Numbers must be finite (a JSON integer
     beyond the float range is not); a float flag returns a float.
     """
     value = merged[key]
-    if kind in (bool, str):
-        valid = isinstance(value, kind)
+    if kind is str:
+        valid = isinstance(value, str)
     else:
         number = (int,) if kind is int else (int, float)
         valid = isinstance(value, number) and not isinstance(value, bool) and is_finite(value)
@@ -291,7 +288,7 @@ def _typed(merged, key, kind, positive=False):
         if positive:
             noun = "a positive integer" if kind is int else "a positive number"
         else:
-            noun = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number"}[kind]
+            noun = {str: "a string", int: "an integer", float: "a finite number"}[kind]
         raise ValueError(f"{_flag(key)} must be {noun}, got {value!r}")
     return float(value) if kind is float else value
 

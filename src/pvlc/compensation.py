@@ -9,9 +9,7 @@ amplified without bound.
 
 The operating point is supplied by the caller: transmitter DC, bias light
 and ambient level are all configuration, so the receiver knows the total
-DC illuminance.  A blind variant that estimates the operating voltage
-from the waveform mean before AC coupling would be a straightforward
-extension but is deliberately not the default.
+DC illuminance.
 """
 
 from dataclasses import dataclass

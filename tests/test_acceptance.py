@@ -84,7 +84,7 @@ def write_report():
 
 def noiseless_centroids(tx_dc, mod_index):
     config = LinkConfig(tx_dc_lux=tx_dc, mod_index=mod_index, thermal_sigma_v=0.0,
-                        shot_noise_enabled=False, seed=0)
+                        noise_bandwidth_hz=0.0, seed=0)
     train = training_sequence(config)
     rng = np.random.default_rng(0)
     v = receive(channel(tx_waveform(LEVELS[train], config), config), MODULE, config, rng)
@@ -276,7 +276,7 @@ def test_criterion_11_noiseless_end_to_end():
     for tx_dc in (20.0, 250.0, 425.0, 1250.0):
         for m in (0.05, 0.3, 1.0):
             config = LinkConfig(tx_dc_lux=tx_dc, mod_index=m, thermal_sigma_v=0.0,
-                                shot_noise_enabled=False, seed=11)
+                                noise_bandwidth_hz=0.0, seed=11)
             worst = max(worst, run_link(config, MODULE, payload).ber)
     ok = worst == 0.0
     assert record(11, ok, f"max noiseless BER over illuminance x m grid = {worst}")

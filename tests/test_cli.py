@@ -62,7 +62,7 @@ class TestFit:
 
 class TestSimulate:
     def test_noiseless_gives_zero_ber(self, model_json, capsys):
-        code = main(["simulate", str(model_json), "--thermal-sigma", "0", "--no-shot",
+        code = main(["simulate", str(model_json), "--thermal-sigma", "0", "--noise-bandwidth", "0",
                      "--seed", "5", "--payload-symbols", "2000"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -88,7 +88,7 @@ class TestSimulate:
 
     def test_seed_from_config_file(self, model_json, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7, "payload_symbols": 2000, "thermal_sigma": 0.0, "no_shot": True}))
+        cfg.write_text(json.dumps({"seed": 7, "payload_symbols": 2000, "thermal_sigma": 0.0, "noise_bandwidth": 0.0}))
         code = main(["simulate", str(model_json), "--config", str(cfg)])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["ber"] == 0.0
@@ -97,14 +97,14 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 7, "payload_symbols": 2000, "mod_index": 2.0}))
         code = main(["simulate", str(model_json), "--config", str(cfg), "--mod-index", "0.3",
-                     "--thermal-sigma", "0", "--no-shot"])
+                     "--thermal-sigma", "0", "--noise-bandwidth", "0"])
         assert code == 0
 
 
 # A valid value other than the default for every LinkConfig field.
 NON_DEFAULT_LINK = dict(
     bit_rate=2e6, samples_per_symbol=4, mod_index=0.25, tx_dc_lux=300.0, dcl_lux=50.0,
-    ambient_lux=10.0, thermal_sigma_v=2e-3, shot_noise_enabled=False, noise_bandwidth_hz=1e9,
+    ambient_lux=10.0, thermal_sigma_v=2e-3, noise_bandwidth_hz=1e9,
     lpf_cutoff_hz=2e5, training_symbols=128, seed=9,
 )
 
@@ -113,14 +113,13 @@ class TestLinkFlags:
     """One table maps the link flags to LinkConfig; a field without a flag fails here."""
 
     def test_table_covers_every_field(self):
-        fields = [field for _, field, _, _ in LINK_FLAGS] + ["shot_noise_enabled"]   # --no-shot
+        fields = [field for _, field, _, _ in LINK_FLAGS]
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(LinkConfig))
 
     def test_config_file_values_reach_their_fields(self, model_json, tmp_path, monkeypatch):
         defaults = LinkConfig()
         assert all(getattr(defaults, f) != v for f, v in NON_DEFAULT_LINK.items())
         file_values = {key: NON_DEFAULT_LINK[field] for key, field, _, _ in LINK_FLAGS}
-        file_values["no_shot"] = not NON_DEFAULT_LINK["shot_noise_enabled"]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_values))
         seen = []
@@ -183,7 +182,8 @@ class TestSweep:
     def test_eye_sweep(self, model_json, tmp_path):
         out = tmp_path / "eye"
         code = main(["sweep", "eye", str(model_json), "--out-dir", str(out),
-                     "--seed", "2", "--traces", "16", "--thermal-sigma", "0", "--no-shot"])
+                     "--seed", "2", "--traces", "16", "--thermal-sigma", "0",
+                     "--noise-bandwidth", "0"])
         assert code == 0
         lines = (out / "eye.csv").read_text().splitlines()
         assert len(lines) == 17
@@ -256,7 +256,6 @@ class TestBoundary:
         ({"seed": 1, "training": True}, "--training"),
         ({"seed": "1"}, "--seed"),
         ({"seed": 1.5}, "--seed"),
-        ({"seed": 1, "no_shot": 1}, "--no-shot"),
     ])
     def test_config_file_link_value_rejected(self, model_json, tmp_path, capsys, values, flag):
         cfg = tmp_path / "cfg.json"
@@ -281,7 +280,7 @@ class TestBoundary:
         assert "--lux-max must be a positive number" in capsys.readouterr().err
         assert not (out / "response.csv").exists()
 
-    @pytest.mark.parametrize("key", ["modindex", "model", "config", "reps"])
+    @pytest.mark.parametrize("key", ["modindex", "model", "config", "reps", "no_shot"])
     def test_unknown_config_key_rejected(self, model_json, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, key: 0.3}))
@@ -289,9 +288,16 @@ class TestBoundary:
         assert code == 2
         assert f"unknown config file key {key!r}" in capsys.readouterr().err
 
+    def test_no_shot_flag_rejected(self, model_json, capsys):
+        """--noise-bandwidth 0 turns shot noise off; there is no separate switch."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(model_json), "--seed", "1", "--no-shot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-shot" in capsys.readouterr().err
+
     def test_hyphenated_config_keys_accepted(self, model_json, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 3, "payload-symbols": 500, "thermal-sigma": 0.0, "no-shot": True}))
+        cfg.write_text(json.dumps({"seed": 3, "payload-symbols": 500, "thermal-sigma": 0.0, "noise-bandwidth": 0.0}))
         assert main(["simulate", str(model_json), "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["bits_total"] == 1000
 
@@ -467,7 +473,7 @@ class TestManifest:
             assert phrase in text
 
 
-LINK_KEYS = {key for key, *_ in LINK_FLAGS} | {"no_shot"}
+LINK_KEYS = {key for key, *_ in LINK_FLAGS}
 EVERY_KEY = {key for options in OPTIONS.values() for key, *_ in options} | LINK_KEYS
 
 
@@ -552,7 +558,7 @@ class TestEntryPoint:
     def test_installed_script(self, model_json):
         proc = subprocess.run(
             [sys.executable, "-m", "pvlc.cli", "simulate", str(model_json),
-             "--seed", "4", "--payload-symbols", "1000", "--thermal-sigma", "0", "--no-shot"],
+             "--seed", "4", "--payload-symbols", "1000", "--thermal-sigma", "0", "--noise-bandwidth", "0"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0

@@ -32,7 +32,7 @@ class TestPostDistort:
 
     def test_noiseless_pam4_gaps_equalized(self):
         config = LinkConfig(tx_dc_lux=350.0, mod_index=0.3, thermal_sigma_v=0.0,
-                            shot_noise_enabled=False, seed=0)
+                            noise_bandwidth_hz=0.0, seed=0)
         cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=math.inf)
         plain, compensated = simulate(config, MODULE, payload_bits(2 * 512, 0),
                                       (None, lambda v: post_distort(v, MODULE, cfg)))

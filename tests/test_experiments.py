@@ -129,7 +129,7 @@ class TestBerSweeps:
             sys.setswitchinterval(interval)
 
     def test_noise_off_all_zero(self):
-        config = base_config(thermal_sigma_v=0.0, shot_noise_enabled=False)
+        config = base_config(thermal_sigma_v=0.0, noise_bandwidth_hz=0.0)
         rows = sweep_postdistortion([0.2, 0.4], config, MODULE, **FAST)
         for m, plain, comp in rows:
             assert plain == 0.0 and comp == 0.0
@@ -260,7 +260,7 @@ class TestBerSweeps:
 class TestEye:
     def noiseless_eye(self, tx_dc, mod_index, traces=32):
         config = LinkConfig(tx_dc_lux=tx_dc, mod_index=mod_index, thermal_sigma_v=0.0,
-                            shot_noise_enabled=False, seed=11)
+                            noise_bandwidth_hz=0.0, seed=11)
         (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed))
         sps = config.samples_per_symbol
         return export_eye(trace.v[config.training_symbols * sps:], sps, traces), config

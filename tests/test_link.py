@@ -12,7 +12,6 @@ from pvlc.link import (
     _dibits,
     _slice,
     FEC_BER_THRESHOLD,
-    GRAY,
     LEVELS,
     BerReport,
     DetectionError,
@@ -39,7 +38,7 @@ MODULE = ModuleSpec(cell_count=1, params=PARAMS)
 
 
 def quiet_config(**overrides):
-    base = dict(thermal_sigma_v=0.0, shot_noise_enabled=False, seed=1234)
+    base = dict(thermal_sigma_v=0.0, noise_bandwidth_hz=0.0, seed=1234)
     base.update(overrides)
     return LinkConfig(**base)
 
@@ -83,8 +82,8 @@ class TestMapping:
 
     def test_gray_adjacency(self):
         # adjacent amplitude levels differ in exactly one bit
-        for a, b in zip(GRAY[:-1], GRAY[1:]):
-            assert bin(a ^ b).count("1") == 1
+        codes = levels_to_bits(np.arange(4)).reshape(4, 2)
+        assert (codes[1:] != codes[:-1]).sum(axis=1).tolist() == [1, 1, 1]
 
     def test_odd_bit_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -117,7 +116,7 @@ class TestCheckBits:
         [0, 1, 1, 0],
     ])
     def test_binary_accepted(self, bits):
-        assert np.array_equal(bits_to_levels(bits), [GRAY[1], GRAY[2]])
+        assert np.array_equal(bits_to_levels(bits), [1, 3])   # dibits 01 and 10
 
     @pytest.mark.parametrize("bits", [
         np.array([0, 2]),
@@ -194,25 +193,26 @@ class TestReceive:
         assert np.all(v == module_voltage(425.0, MODULE))
 
     def test_shot_sigma_high_lux_scaling(self):
-        config = quiet_config(shot_noise_enabled=True)
+        config = LinkConfig()
         # deep in the eta*L >> i0 regime the RMS falls like 1/sqrt(L)
         ratio = shot_noise_sigma(4e6, MODULE, config) / shot_noise_sigma(1e6, MODULE, config)
         assert ratio == pytest.approx(0.5, rel=1e-3)
 
     def test_shot_sigma_peaks_at_knee(self):
-        config = quiet_config(shot_noise_enabled=True)
+        config = LinkConfig()
         knee = PARAMS.i0 / PARAMS.eta
         around = shot_noise_sigma(np.array([knee / 4, knee, knee * 4]), MODULE, config)
         assert around[1] > around[0] and around[1] > around[2]
 
     def test_noise_variance_accounting(self):
-        config = LinkConfig(thermal_sigma_v=2e-3, shot_noise_enabled=True, seed=5)
-        rng = np.random.default_rng(77)
         lux = np.full(1_000_000, 425.0)
-        v = receive(lux, MODULE, config, rng)
-        measured = float(np.var(v - module_voltage(425.0, MODULE)))
-        expected = config.thermal_sigma_v**2 + float(shot_noise_sigma(425.0, MODULE, config)) ** 2
-        assert measured == pytest.approx(expected, rel=0.02)
+        for bandwidth in (LinkConfig().noise_bandwidth_hz, 0.0):   # 0 turns shot noise off
+            config = LinkConfig(thermal_sigma_v=2e-3, noise_bandwidth_hz=bandwidth, seed=5)
+            v = receive(lux, MODULE, config, np.random.default_rng(77))
+            measured = float(np.var(v - module_voltage(425.0, MODULE)))
+            shot_sigma = float(shot_noise_sigma(425.0, MODULE, config))
+            assert measured == pytest.approx(config.thermal_sigma_v**2 + shot_sigma**2, rel=0.02)
+        assert shot_sigma == 0.0
 
     def test_lowpass_dc_gain_unity(self):
         config = quiet_config(lpf_cutoff_hz=1e5)
@@ -232,7 +232,7 @@ class TestReceive:
         assert np.ptp(v_soft) < np.ptp(v_sharp)
 
     def test_noise_added_after_filter(self):
-        config = LinkConfig(thermal_sigma_v=1e-3, shot_noise_enabled=False, lpf_cutoff_hz=1e4, seed=2)
+        config = LinkConfig(thermal_sigma_v=1e-3, noise_bandwidth_hz=0.0, lpf_cutoff_hz=1e4, seed=2)
         rng = np.random.default_rng(3)
         lux = np.full(500_000, 425.0)
         v = receive(lux, MODULE, config, rng)
@@ -349,7 +349,7 @@ class TestRunLink:
         assert report.pass_fec == (report.ber < FEC_BER_THRESHOLD)
 
     def test_random_guess_ceiling(self):
-        config = LinkConfig(seed=8, thermal_sigma_v=10.0, shot_noise_enabled=False)
+        config = LinkConfig(seed=8, thermal_sigma_v=10.0, noise_bandwidth_hz=0.0)
         report = run_link(config, MODULE, payload_bits(40_000, 8))
         assert 0.4 < report.ber < 0.6
 
@@ -361,11 +361,11 @@ class TestRunLink:
     def test_noise_matches_gaussian_q_prediction(self):
         """Measured BER agrees with the closed-form prediction for the
         trained thresholds within 3 standard errors over 1e6 bits."""
-        config = LinkConfig(thermal_sigma_v=2.2e-3, shot_noise_enabled=False, seed=424242)
+        config = LinkConfig(thermal_sigma_v=2.2e-3, noise_bandwidth_hz=0.0, seed=424242)
         n_symbols = 500_000
         payload = payload_bits(2 * n_symbols, config.seed)
         train = training_sequence(config)
-        payload_levels = GRAY[2 * np.asarray(payload[0::2]) + np.asarray(payload[1::2])]
+        payload_levels = bits_to_levels(payload)
 
         rng = np.random.default_rng(config.seed)
         symbols = np.concatenate([LEVELS[train], LEVELS[payload_levels]])
@@ -376,9 +376,7 @@ class TestRunLink:
         stats = symbol_statistics(noisy - offset, config.samples_per_symbol)
         _, thresholds = train_slicer(stats[: len(train)], train)
         decided = np.searchsorted(thresholds, stats[len(train):])
-        # hamming weights: gray xor in {0,1,2,3} -> errored bits {0,1,1,2}
-        xor = GRAY[decided] ^ GRAY[payload_levels]
-        measured_errors = int(np.sum(np.array([0, 1, 1, 2])[xor]))
+        measured_errors = int(np.count_nonzero(levels_to_bits(decided) != payload))
 
         # prediction: statistic is Gaussian around the noiseless centroid
         lo = config.samples_per_symbol // 4
@@ -387,13 +385,13 @@ class TestRunLink:
         stats0 = symbol_statistics(noiseless - offset, config.samples_per_symbol)[len(train):]
         centroids0 = np.array([stats0[payload_levels == k].mean() for k in range(4)])
         edges = np.concatenate([[-np.inf], thresholds, [np.inf]])
-        weights = np.array([0, 1, 1, 2])
+        codes = levels_to_bits(np.arange(4)).reshape(4, 2)   # the dibit each level carries
         expected_bits = 0.0
         variance = 0.0
         counts = np.bincount(payload_levels, minlength=4)
         for level in range(4):
             cell_probs = np.diff(sp_stats.norm.cdf(edges, loc=centroids0[level], scale=sigma_stat))
-            h = weights[GRAY ^ GRAY[level]]
+            h = (codes != codes[level]).sum(axis=1)   # bits lost deciding each level
             mean_err = float(cell_probs @ h)
             expected_bits += counts[level] * mean_err
             variance += counts[level] * (float(cell_probs @ h**2) - mean_err**2)
@@ -423,9 +421,9 @@ LEVEL_TABLE_CASES = [
     {"lpf_cutoff_hz": 2.5e5},
     {"ambient_lux": 40.0, "dcl_lux": 300.0},
     {"ambient_lux": 40.0, "dcl_lux": 300.0, "lpf_cutoff_hz": 2.5e5},
-    {"shot_noise_enabled": False},
-    {"shot_noise_enabled": False, "thermal_sigma_v": 0.0},
-    {"shot_noise_enabled": False, "thermal_sigma_v": 0.0, "lpf_cutoff_hz": 2.5e5},
+    {"noise_bandwidth_hz": 0.0},
+    {"noise_bandwidth_hz": 0.0, "thermal_sigma_v": 0.0},
+    {"noise_bandwidth_hz": 0.0, "thermal_sigma_v": 0.0, "lpf_cutoff_hz": 2.5e5},
     {"samples_per_symbol": 2},
     {"samples_per_symbol": 3, "lpf_cutoff_hz": 2.5e5},
     {"samples_per_symbol": 8, "mod_index": 1.0},
@@ -433,7 +431,7 @@ LEVEL_TABLE_CASES = [
     {"mod_index": 1.0, "thermal_sigma_v": 0.0},
     {"samples_per_symbol": 2, "lpf_cutoff_hz": 2.5e5},
     {"samples_per_symbol": 3},
-    {"samples_per_symbol": 3, "shot_noise_enabled": False, "thermal_sigma_v": 0.0},
+    {"samples_per_symbol": 3, "noise_bandwidth_hz": 0.0, "thermal_sigma_v": 0.0},
     # 8 central samples or more: numpy's mean sums them pairwise
     {"samples_per_symbol": 16},
     {"samples_per_symbol": 20, "lpf_cutoff_hz": 2.5e5},

@@ -80,9 +80,9 @@ def check_resolved(options, key, value):
 
 @edge_cases
 @given(value=JSON_VALUES)
-@pytest.mark.parametrize("key", [*LINK_KEYS, "no_shot"])
+@pytest.mark.parametrize("key", list(LINK_KEYS))
 def test_link_config_has_declared_kind(key, value):
-    field, kind = LINK_KEYS.get(key, ("shot_noise_enabled", bool))
+    field, kind = LINK_KEYS[key]
     merged = {"seed": 1} | {key: value}
     try:
         config = cli._link_config(merged, "simulate")
@@ -93,7 +93,7 @@ def test_link_config_has_declared_kind(key, value):
     assert isinstance(config, LinkConfig)
     if value is not None:
         resolved = getattr(config, field)
-        assert type(resolved) is bool if kind is bool else is_number(resolved, kind)
+        assert is_number(resolved, kind)
 
 
 VALID_CARD = {
