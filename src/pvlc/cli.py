@@ -64,7 +64,7 @@ OUT_DIR = (("out_dir", str, ".", "output directory"),)
 BER_RUNS = (   # in the argument order of the experiments.sweep_ber_* functions
     ("reps", int, experiments.REPETITIONS, "repetitions per BER point"),
     ("payload_symbols", int, experiments.PAYLOAD_SYMBOLS, "payload length per BER cell"),
-    ("jobs", int, 1, "worker threads"),
+    ("jobs", int, 1, "threads running BER cells, the calling one included"),
 )
 LUX_GRID = (
     ("lux_max", float, 2000.0, "grid end, lux"),

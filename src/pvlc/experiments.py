@@ -3,10 +3,10 @@
 Every BER cell derives its seed from the base seed and its operating
 coordinates (see `pvlc.seeding`), so re-running any single cell in
 isolation reproduces it bit-for-bit and parallel execution is
-indistinguishable from serial.  Parallel cells run on threads in one
-process and share one read-only payload; their numpy and scipy work
-releases the interpreter lock.  Repeated cells are summarized by their
-median BER.
+indistinguishable from serial.  With n_jobs = N the cells run on the
+calling thread plus N - 1 pool threads in one process and share one
+read-only payload; their numpy and scipy work releases the interpreter
+lock.  Repeated cells are summarized by their median BER.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -97,16 +97,30 @@ def _ber_cell(args):
 
 
 def _run_cells(cells, n_jobs):
-    """Per-cell BER tuples, shape (cells, entries); a failing cell cancels the queued ones."""
-    n_jobs = min(n_jobs, len(cells))
-    if n_jobs <= 1:
-        results = [_ber_cell(c) for c in cells]
-    else:
-        pool = ThreadPoolExecutor(max_workers=n_jobs)
+    """Per-cell BER tuples, shape (cells, entries), computed on min(n_jobs, cells) threads.
+
+    The calling thread and its pool's helpers take cells from one queue.  A
+    failing cell empties the queue, and its error is raised once the other
+    threads have finished their current cells.
+    """
+    todo = iter(range(len(cells)))   # next() on it is atomic under the GIL
+    results = [None] * len(cells)
+
+    def work():
         try:
-            results = list(pool.map(_ber_cell, cells))
-        finally:
-            pool.shutdown(cancel_futures=True)
+            for i in todo:
+                results[i] = _ber_cell(cells[i])
+        except BaseException:
+            for _ in todo:   # so that no thread takes another cell
+                pass
+            raise
+
+    helpers = min(n_jobs, len(cells)) - 1
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:   # starts no thread until a submit
+        futures = [pool.submit(work) for _ in range(helpers)]
+        work()
+    for future in futures:
+        future.result()
     return np.asarray(results, dtype=float)
 
 

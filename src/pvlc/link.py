@@ -22,7 +22,8 @@ which is numpy's mean bit for bit below 8 central samples and agrees with
 it to the last bits from 8 on.  Symbol-rate integers are uint8: a cell holds
 one float64 waveform per receiver plus float64 statistics, and its
 tracemalloc peak is about 1.2x the waveform's bytes for the plain
-receiver and 2.4x for a plain + post-distorted pair.
+receiver, with or without the low-pass, and 2.4x for a plain +
+post-distorted pair.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -194,11 +195,15 @@ def shot_noise_sigma(lux, spec: ModuleSpec, config: LinkConfig):
     return current_rms * slope
 
 
-def _single_pole_lowpass(v, cutoff_hz, sample_rate):
+def _single_pole_lowpass(v, cutoff_hz, sample_rate, state=None):
+    """The low-passed v and the filter's final state, which continues it bit for bit in a next call.
+
+    Without a `state` the filter starts at rest at v[0].
+    """
     alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / sample_rate)
-    zi = np.array([(1.0 - alpha) * v[0]])
-    out, _ = sp_signal.lfilter([alpha], [1.0, alpha - 1.0], v, zi=zi)
-    return out
+    if state is None:
+        state = np.array([(1.0 - alpha) * v[0]])
+    return sp_signal.lfilter([alpha], [1.0, alpha - 1.0], v, zi=state)
 
 
 def _voltage_and_variance(l_rx, spec: ModuleSpec, config: LinkConfig):
@@ -215,7 +220,7 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     l_rx = np.asarray(l_rx, dtype=float)
     v, variance = _voltage_and_variance(l_rx, spec, config)
     if config.lpf_cutoff_hz is not None:
-        v = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
+        v, _ = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
     if not variance.any():
         return v
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
@@ -226,24 +231,25 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
 
     The waveform is filled in blocks of BLOCK_SYMBOLS symbols, so no
     whole-cell table of per-symbol voltages or sigmas exists beside it.  The
-    low-passed voltage is built first, before the waveform is allocated, so
-    the filter's temporaries never coexist with it.
+    low-pass filters each block's voltage, carrying its state from block to
+    block, so it too holds no more than a block beside the waveform.
     """
     sps = config.samples_per_symbol
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
-    v_filtered = None
-    if config.lpf_cutoff_hz is not None:
-        v_filtered = _single_pole_lowpass(np.repeat(v_level[level_indices], sps), config.lpf_cutoff_hz,
-                                          config.sample_rate).reshape(-1, sps)
+    lpf_state = None
     out = np.empty((level_indices.size, sps))
     noisy = sigma_level.any()
     for start in range(0, level_indices.size, BLOCK_SYMBOLS):
         stop = start + BLOCK_SYMBOLS
         block = out[start:stop]
         idx = level_indices[start:stop].astype(np.intp)   # numpy gathers by intp at twice its uint8 speed
-        v = v_level[idx][:, None] if v_filtered is None else v_filtered[start:stop]
+        v = v_level[idx][:, None]
+        if config.lpf_cutoff_hz is not None:
+            v, lpf_state = _single_pole_lowpass(np.repeat(v_level[idx], sps), config.lpf_cutoff_hz,
+                                                config.sample_rate, lpf_state)
+            v = v.reshape(-1, sps)
         if noisy:
             # receive's v + z * sigma, evaluated in place: the blocks draw the
             # same normals in the same order and IEEE multiplication and

@@ -225,27 +225,47 @@ class TestBerSweeps:
         with pytest.raises(ValueError, match=f"{grid} values must be finite"):
             sweep(values)
 
-    @pytest.mark.parametrize("n_jobs,repetitions,workers", [(8, 3, 3), (2, 5, 2), (4, 1, None)])
-    def test_pool_no_larger_than_cells(self, monkeypatch, n_jobs, repetitions, workers):
-        """A stand-in executor records max_workers, and no thread starts."""
-        started = []
+    @pytest.mark.parametrize("n_jobs,repetitions", [(2, 10), (8, 3), (4, 1), (1, 5)])
+    def test_caller_runs_cells_with_helpers(self, monkeypatch, n_jobs, repetitions):
+        """Cells run on at most min(n_jobs, cells) threads, the caller among them; one thread starts none."""
+        before = set(threading.enumerate())
+        computing, alive = set(), set()
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def recording_simulate(*args):
+            computing.add(threading.get_ident())
+            alive.update(threading.enumerate())
+            time.sleep(0.02)   # so that no helper finishes its cell before the caller takes one
+            return simulate(*args)
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingExecutor)
         sweep = lambda n: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE,  # noqa: E731
                                          repetitions=repetitions, payload_symbols=2000, n_jobs=n)
-        rows = sweep(n_jobs)
-        assert started == ([] if workers is None else [workers])
-        assert rows == sweep(1)
+        serial = sweep(1)
+        monkeypatch.setattr(experiments, "simulate", recording_simulate)
+        assert sweep(n_jobs) == serial
+        threads = min(n_jobs, repetitions)
+        assert threading.get_ident() in computing
+        assert len(computing) <= threads
+        if threads == 1:
+            assert alive == before
+
+    def test_failing_helper_cell_raises(self, monkeypatch):
+        """A cell that fails on a pool thread stops the sweep, and the caller raises its error."""
+        caller = threading.get_ident()
+        calls = []
+
+        def failing_off_caller(*args):
+            calls.append(args[0])
+            if threading.get_ident() != caller:
+                raise DetectionError("stand-in helper failure")
+            time.sleep(0.01)
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "simulate", failing_off_caller)
+        cells = 40
+        with pytest.raises(DetectionError, match="helper failure"):
+            sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, repetitions=cells,
+                           payload_symbols=2000, n_jobs=2)
+        assert 1 <= len(calls) < cells
 
     @pytest.mark.parametrize("sweep", [
         lambda **kw: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, **kw),

@@ -11,6 +11,7 @@ from pvlc.device import ModuleSpec, PVCellParams, module_voltage
 from pvlc.link import (
     _dibits,
     _slice,
+    BLOCK_SYMBOLS,
     FEC_BER_THRESHOLD,
     LEVELS,
     BerReport,
@@ -446,8 +447,9 @@ class TestLevelTable:
 
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
     def test_waveform_bit_identical(self, overrides):
+        """Over two full blocks and a partial one, so the low-pass must carry its state across blocks."""
         config = self.config(overrides)
-        payload = payload_bits(4000, 5)
+        payload = payload_bits(2 * (2 * BLOCK_SYMBOLS + 1000), 5)
         reference, _ = samplewise_pipeline(config, payload)
         assert np.array_equal(simulate(config, MODULE, payload)[0].v, ac_couple(reference))
 
@@ -553,8 +555,7 @@ class TestSymbolMemory:
         assert np.array_equal(_dibits(b), dibits)
         assert np.array_equal(bits_to_levels(b.astype(dtype)), np.array([0, 1, 3, 2])[dibits])
 
-    # the low-pass cell fits only because the filtered voltage is built before the waveform
-    @pytest.mark.parametrize("receivers,lpf,budget", [(1, None, 1.25), (2, None, 2.5), (1, 5e5, 2.2)],
+    @pytest.mark.parametrize("receivers,lpf,budget", [(1, None, 1.25), (2, None, 2.5), (1, 5e5, 1.25)],
                              ids=["plain", "plain+post", "plain-lpf"])
     def test_peak_memory_within_budget(self, receivers, lpf, budget):
         """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes."""
