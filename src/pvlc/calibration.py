@@ -131,6 +131,10 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
     estimates stay positive; `converged` is true once the relative
     parameter change drops below 1e-8 within the iteration budget.
     """
+    if isinstance(cell_count, bool) or not (isinstance(cell_count, (int, np.integer)) and cell_count >= 1):
+        raise ValueError(f"cell_count must be an integer >= 1, got {cell_count!r}")
+    if not (is_finite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
     samples = list(samples)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")

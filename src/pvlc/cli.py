@@ -67,8 +67,8 @@ BER_RUNS = (   # in the argument order of the experiments.sweep_ber_* functions
     ("jobs", int, 1, "threads running BER cells, the calling one included"),
 )
 LUX_GRID = (
-    ("lux_max", float, 2000.0, "grid end, lux"),
-    ("lux_step", float, 10.0, "grid step, lux"),
+    ("lux_max", float, float(experiments.RESPONSE_LUX_GRID[-1]), "grid end, lux"),
+    ("lux_step", float, float(experiments.RESPONSE_LUX_GRID[1] - experiments.RESPONSE_LUX_GRID[0]), "grid step, lux"),
     ("cells_list", [int], experiments.RESPONSE_CELL_COUNTS, "comma list of cell counts"),
 )
 OPTIONS = {

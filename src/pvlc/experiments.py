@@ -81,41 +81,26 @@ def sweep_derivatives(lux_grid, cell_counts, spec: ModuleSpec):
     return _curve_table(lux_grid, cell_counts, spec, (first_derivative, second_derivative))
 
 
-def _ber_cell(args):
-    """BERs of one link realization, one per entry of `postdist_cfgs`.
+def _run_cells(cell, items, n_jobs):
+    """[cell(*item) for item in items] as a float array, computed on min(n_jobs, items) threads.
 
-    None is the plain receiver, a PostDistortionConfig the post-distorted
-    one, and all are detected from the same noisy waveform.  `bits` is the
-    sweep's read-only payload, shared by every cell.
-    """
-    config, spec, bits, postdist_cfgs = args
-    postprocesses = [
-        None if cfg is None else partial(post_distort, spec=spec, cfg=cfg) for cfg in postdist_cfgs
-    ]
-    traces = simulate(config, spec, bits, postprocesses)
-    return tuple(trace.report.ber for trace in traces)
-
-
-def _run_cells(cells, n_jobs):
-    """Per-cell BER tuples, shape (cells, entries), computed on min(n_jobs, cells) threads.
-
-    The calling thread and its pool's helpers take cells from one queue.  A
+    The calling thread and its pool's helpers take items from one queue.  A
     failing cell empties the queue, and its error is raised once the other
     threads have finished their current cells.
     """
-    todo = iter(range(len(cells)))   # next() on it is atomic under the GIL
-    results = [None] * len(cells)
+    todo = iter(range(len(items)))   # next() on it is atomic under the GIL
+    results = [None] * len(items)
 
     def work():
         try:
             for i in todo:
-                results[i] = _ber_cell(cells[i])
+                results[i] = cell(*items[i])
         except BaseException:
             for _ in todo:   # so that no thread takes another cell
                 pass
             raise
 
-    helpers = min(n_jobs, len(cells)) - 1
+    helpers = min(n_jobs, len(items)) - 1
     with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:   # starts no thread until a submit
         futures = [pool.submit(work) for _ in range(helpers)]
         work()
@@ -138,8 +123,10 @@ def ber_point_config(base_config: LinkConfig, tx_dc_lux, mod_index, dcl_lux, rep
 def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs, gain_cap=None):
     """Median BERs over `repetitions` seeded cells per (tx, m, dcl) point.
 
-    An array of shape (points, entries): the plain receiver, then, given a
-    `gain_cap`, the post-distorted one on the same noise realization.
+    An array of shape (points, receivers): the plain receiver, then, given a
+    `gain_cap`, the post-distorted one on the same noise realization.  Every
+    cell is built before the first one runs, so a bad point fails before any
+    work; each cell runs `simulate` on the one read-only payload.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -149,12 +136,16 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     for tx, m, dcl in points:
         for rep in range(repetitions):
             config = ber_point_config(base_config, tx, m, dcl, rep)
-            entries = (None,)
+            receivers = (None,)
             if gain_cap is not None:
                 operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
-                entries = (None, PostDistortionConfig(operating_lux=operating, gain_cap=gain_cap))
-            cells.append((config, spec, bits, entries))
-    bers = _run_cells(cells, n_jobs)
+                receivers += (partial(post_distort, spec=spec, cfg=PostDistortionConfig(operating, gain_cap)),)
+            cells.append((config, receivers))
+
+    def bers_of(config, receivers):
+        return [trace.report.ber for trace in simulate(config, spec, bits, receivers)]
+
+    bers = _run_cells(bers_of, cells, n_jobs)
     return np.median(bers.reshape(len(points), repetitions, -1), axis=1)
 
 
@@ -238,9 +229,7 @@ def export_eye(v, samples_per_symbol: int, traces: int):
 
 
 def _format_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
         return str(int(value))
     return format(float(value), ".17g")
 

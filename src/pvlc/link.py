@@ -11,12 +11,14 @@ noise variance once per level (a level table) and gathers them by symbol,
 instead of once per sample as the public `receive` does.  The noisy
 waveform is built in place as a (symbols, samples_per_symbol) array, in
 blocks of BLOCK_SYMBOLS symbols that each gather their own voltages and
-sigmas, and AC-coupled in place.  One realization serves the plain
-receiver and any number of post-processed ones, so a plain/compensated
-comparison sees the same noise.  Every step applies the same operations
-to the same values as the samplewise `receive` -> `ac_couple` ->
-`detect_pam4` pipeline and draws the same normals in the same order, so
-every waveform and error count is bit-identical; tests compare the two.
+sigmas, AC-coupled in place and made read-only.  One realization serves
+the plain receiver and any number of post-processed ones, which return
+new arrays, so a plain/compensated comparison sees the same noise.
+Every step applies the same operations to the same values as the
+samplewise `receive` -> `ac_couple` -> `detect_pam4` pipeline and draws
+the same normals in the same order, even with both noise sources off
+(z * 0 adds +-0), so every waveform and error count is bit-identical;
+tests compare the two.
 The decision statistic sums a symbol's central samples left to right,
 which is numpy's mean bit for bit below 8 central samples and agrees with
 it to the last bits from 8 on.  Symbol-rate integers are uint8: a cell holds
@@ -221,8 +223,6 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     v, variance = _voltage_and_variance(l_rx, spec, config)
     if config.lpf_cutoff_hz is not None:
         v, _ = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
-    if not variance.any():
-        return v
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
@@ -240,7 +240,6 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
     sigma_level = np.sqrt(variance_level)
     lpf_state = None
     out = np.empty((level_indices.size, sps))
-    noisy = sigma_level.any()
     for start in range(0, level_indices.size, BLOCK_SYMBOLS):
         stop = start + BLOCK_SYMBOLS
         block = out[start:stop]
@@ -250,15 +249,12 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
             v, lpf_state = _single_pole_lowpass(np.repeat(v_level[idx], sps), config.lpf_cutoff_hz,
                                                 config.sample_rate, lpf_state)
             v = v.reshape(-1, sps)
-        if noisy:
-            # receive's v + z * sigma, evaluated in place: the blocks draw the
-            # same normals in the same order and IEEE multiplication and
-            # addition commute, so every sample carries the same bits.
-            rng.standard_normal(out=block)
-            block *= sigma_level[idx][:, None]
-            block += v
-        else:
-            block[:] = v
+        # receive's v + z * sigma, evaluated in place: the blocks draw the
+        # same normals in the same order and IEEE multiplication and
+        # addition commute, so every sample carries the same bits.
+        rng.standard_normal(out=block)
+        block *= sigma_level[idx][:, None]
+        block += v
     return out
 
 
@@ -375,9 +371,8 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
 
     Returns one LinkTrace per entry, all from one noise realization.  An
     entry of None is the plain receiver; any other entry is applied to the
-    AC-coupled waveform before its slicer.  When more than one entry
-    shares the waveform it is read-only, so a postprocess must return a
-    new array; a lone postprocess may work in place.  Deterministic for a
+    AC-coupled waveform before its slicer.  The waveform is read-only, so
+    a postprocess returns a new array.  Deterministic for a
     fixed config (the RNG derives from config.seed).  Errors are counted
     per symbol: a decision costs as many bits as its Gray code differs
     from the sent dibit in.
@@ -390,7 +385,7 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     levels = np.concatenate([train, _gray(sent)])
     v = _received(levels, spec, config, np.random.default_rng(config.seed)).ravel()
     v -= v.mean()   # ac_couple, in place
-    v.flags.writeable = len(postprocesses) == 1
+    v.flags.writeable = False
     traces = []
     for postprocess in postprocesses:
         out = v if postprocess is None else postprocess(v)
@@ -407,7 +402,7 @@ def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=Non
     """BerReport of one link run (`simulate` with a single receiver).
 
     `postprocess`, when given, is applied to the AC-coupled voltage
-    waveform before detection (used for receiver-side compensation); it
-    may work in place.
+    waveform before detection (used for receiver-side compensation).  The
+    waveform is read-only, so it returns a new array.
     """
     return simulate(config, spec, payload_bits, (postprocess,))[0].report

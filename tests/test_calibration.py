@@ -95,6 +95,18 @@ class TestFitResponse:
             estimates.append(fit.n_hat)
         assert np.median(estimates) == pytest.approx(TRUE_N, rel=0.05)
 
+    @pytest.mark.parametrize("cell_count,temperature,name", [
+        (-1, 300.0, "cell_count"), (0, 300.0, "cell_count"), (1.5, 300.0, "cell_count"),
+        (True, 300.0, "cell_count"), (1, -300.0, "temperature"), (1, 0.0, "temperature"),
+        (1, float("nan"), "temperature"), (1, float("inf"), "temperature"),
+    ])
+    def test_bad_module_arguments_rejected(self, cell_count, temperature, name):
+        with pytest.raises(ValueError, match=name):
+            fit_response(synth_samples(), cell_count, temperature)
+
+    def test_numpy_integer_cell_count_accepted(self):
+        assert fit_response(synth_samples(), np.int64(1), 300.0) == fit_response(synth_samples(), 1, 300.0)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 4"):
             fit_response(synth_samples()[:3], 1, 300.0)

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvlc
 from pvlc import calibration, cli, experiments
 from pvlc.cli import LINK_FLAGS, OPTIONS, main
 from pvlc.calibration import load_model_card
@@ -146,6 +149,20 @@ class TestSweep:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["kind"] == "response"
         assert manifest["lux_max"] == 100.0
+
+    def test_response_defaults_are_the_experiments_grid(self, model_json, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "response", str(model_json), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert (manifest["lux_max"], manifest["lux_step"]) == (2000.0, 10.0)
+        expected = tmp_path / "expected.csv"
+        rows = experiments.sweep_response(experiments.RESPONSE_LUX_GRID, experiments.RESPONSE_CELL_COUNTS,
+                                          load_model_card(model_json))
+        experiments.write_csv(expected, experiments.CSV_HEADERS["response"], rows)
+        assert (out / "response.csv").read_bytes() == expected.read_bytes()
+        with pytest.raises(SystemExit):
+            main(["sweep", "response", "--help"])
+        assert "(default 2000.0)" in capsys.readouterr().out
 
     def test_unknown_kind_exits_2_with_choices(self, model_json, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -556,10 +573,13 @@ class TestKindRows:
 
 class TestEntryPoint:
     def test_installed_script(self, model_json):
+        # the subprocess imports the pvlc this test imported, installed or not
+        src = str(Path(pvlc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "pvlc.cli", "simulate", str(model_json),
              "--seed", "4", "--payload-symbols", "1000", "--thermal-sigma", "0", "--noise-bandwidth", "0"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ber"] == 0.0

@@ -225,6 +225,17 @@ class TestBerSweeps:
         with pytest.raises(ValueError, match=f"{grid} values must be finite"):
             sweep(values)
 
+    @pytest.mark.parametrize("sweep,match", [
+        (lambda: sweep_postdistortion([0.2, 1.5], base_config(), MODULE, **FAST), "mod_index"),
+        (lambda: sweep_ber_vs_dcl([0.0], [0.3, 1.5], base_config(), MODULE, **FAST), "mod_index"),
+        (lambda: sweep_postdistortion([0.2], base_config(), MODULE, gain_cap=0.5, **FAST), "gain_cap"),
+    ], ids=["postdist_m", "dcl_m_list", "gain_cap"])
+    def test_bad_point_fails_before_any_cell_runs(self, monkeypatch, sweep, match):
+        """Every cell's LinkConfig and receivers are built before the first cell runs."""
+        monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=match):
+            sweep()
+
     @pytest.mark.parametrize("n_jobs,repetitions", [(2, 10), (8, 3), (4, 1), (1, 5)])
     def test_caller_runs_cells_with_helpers(self, monkeypatch, n_jobs, repetitions):
         """Cells run on at most min(n_jobs, cells) threads, the caller among them; one thread starts none."""
