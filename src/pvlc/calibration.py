@@ -4,7 +4,8 @@ The measured curve V(L) = N*n*v_t*ln(a*L + 1) is identified by two
 parameters only: the ideality factor n and the gain ratio a = eta/i0.
 Illuminance data cannot separate eta from i0 (they enter the model only
 through a), so the fitter estimates (n, a); `to_i0` backs out i0 once an
-externally calibrated eta is supplied.
+externally calibrated eta is supplied.  Value rules and the scale N*v_t
+come from `pvlc.device`'s classes; this module checks only file formats.
 """
 
 import csv
@@ -13,12 +14,12 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .device import ModuleSpec, PVCellParams, K_B, Q_E, is_finite
+from .device import ModuleSpec, PVCellParams, is_finite
 
 # fit configuration
 N_BOUNDS = (0.5, 5.0)          # ideality factor search range
@@ -50,10 +51,10 @@ class ResponseSample:
     volts: float
 
     def __post_init__(self):
-        if not (self.lux >= 0):
-            raise ValueError(f"lux must be >= 0, got {self.lux}")
-        if not (self.volts >= 0):
-            raise ValueError(f"volts must be >= 0, got {self.volts}")
+        for name in ("lux", "volts"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def load_samples(source):
 
     `source` may be a path, bytes, or a file-like object (text or binary).
     Rows are returned in input order.  Raises ParseError with the line
-    number for malformed rows and ValueError for negative values.
+    number for malformed rows and ValueError with it for rejected values.
     """
     text = _read_text(source)
     reader = csv.reader(io.StringIO(text))
@@ -100,17 +101,16 @@ def load_samples(source):
             lux, volts = float(row[0]), float(row[1])
         except ValueError:
             raise ParseError(f"line {lineno}: could not parse {row!r} as numbers") from None
-        if lux < 0:
-            raise ValueError(f"line {lineno}: lux must be >= 0, got {lux}")
-        if volts < 0:
-            raise ValueError(f"line {lineno}: volts must be >= 0, got {volts}")
+        try:
+            samples.append(ResponseSample(lux, volts))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if lux == 0 and volts > AMBIENT_OFFSET_WARN_V:
             warnings.warn(
                 f"line {lineno}: {volts} V at zero lux suggests ambient light "
                 "during calibration",
                 stacklevel=2,
             )
-        samples.append(ResponseSample(lux, volts))
     return samples
 
 
@@ -131,10 +131,8 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
     estimates stay positive; `converged` is true once the relative
     parameter change drops below 1e-8 within the iteration budget.
     """
-    if isinstance(cell_count, bool) or not (isinstance(cell_count, (int, np.integer)) and cell_count >= 1):
-        raise ValueError(f"cell_count must be an integer >= 1, got {cell_count!r}")
-    if not (is_finite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+    # the model is prefactor * n * ln(a*L + 1); with unit n, i0 and eta, scale is N*v_t
+    prefactor = ModuleSpec(cell_count, PVCellParams(1.0, 1.0, 1.0, temperature)).scale
     samples = list(samples)
     if len(samples) < 4:
         raise ValueError(f"need at least 4 samples, got {len(samples)}")
@@ -149,14 +147,8 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
             "the (n, a) pair is unidentifiable otherwise"
         )
 
-    v_t = K_B * temperature / Q_E
-    prefactor = cell_count * v_t  # model is prefactor * n * ln(a*L + 1)
-
-    def cost_at(theta):
-        return float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
-
     theta = _initial_guess(lux, volts, prefactor)
-    cost = cost_at(theta)
+    cost = _cost(theta, lux, volts, prefactor)
     history = [cost]
     lam = 1e-3
     iterations = 0
@@ -172,7 +164,7 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
             if np.max(np.abs(step)) < STEP_TOLERANCE:
                 break
             trial = _project(theta + step)
-            trial_cost = cost_at(trial)
+            trial_cost = _cost(trial, lux, volts, prefactor)
             if trial_cost < cost:
                 theta, cost = trial, trial_cost
                 history.append(cost)
@@ -206,6 +198,11 @@ def _residuals_and_jacobian(theta, lux, volts, prefactor):
     return model - volts, jac
 
 
+def _cost(theta, lux, volts, prefactor):
+    """Residual sum of squares at log-parameters theta."""
+    return float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
+
+
 def _project(theta):
     lo = np.log([N_BOUNDS[0], A_BOUNDS[0]])
     hi = np.log([N_BOUNDS[1], A_BOUNDS[1]])
@@ -223,7 +220,7 @@ def _initial_guess(lux, volts, prefactor):
         c = float(volts @ basis) / denom
         n = np.clip(c / prefactor, *N_BOUNDS)
         theta = _project(np.log([n, a]))
-        cost = float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
+        cost = _cost(theta, lux, volts, prefactor)
         if best is None or cost < best[0]:
             best = (cost, theta)
     return best[1]
@@ -260,14 +257,7 @@ def atomic_write_text(destination, text):
 
 def save_model_card(spec: ModuleSpec, fit: FitResult, destination):
     """Write a fitted module description as JSON, atomically."""
-    card = {
-        "cell_count": spec.cell_count,
-        "n": spec.params.n,
-        "i0": spec.params.i0,
-        "eta": spec.params.eta,
-        "temperature": spec.params.temperature,
-        "fit": {"rmse": fit.rmse, "converged": fit.converged},
-    }
+    card = {"cell_count": spec.cell_count, **asdict(spec.params), "fit": {"rmse": fit.rmse, "converged": fit.converged}}
     atomic_write_text(destination, json.dumps(card, indent=2) + "\n")
 
 
@@ -288,21 +278,13 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
     if card["fit"]["converged"] is not True:
         raise SchemaError(f"model card converged must be true, got {card['fit']['converged']!r}")
-    # JSON true/false parse as bool, a subclass of int: reject them too.  Python's
-    # json reads Infinity and NaN as floats and integers of any size as ints.
-    count = card["cell_count"]
-    if isinstance(count, bool) or not isinstance(count, int) or not is_finite(count):
-        raise SchemaError(f"model card cell_count must be an integer, got {count!r}")
-    numbers = {key: card[key] for key in ("n", "i0", "eta", "temperature")} | {"rmse": card["fit"]["rmse"]}
-    for key, value in numbers.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not is_finite(value):
-            raise SchemaError(f"model card {key} must be a finite number, got {value!r}")
-    if numbers["rmse"] < 0:
+    rmse = card["fit"]["rmse"]
+    if not is_finite(rmse):
+        raise SchemaError(f"model card rmse must be a finite number, got {rmse!r}")
+    if rmse < 0:
         raise SchemaError("model card rmse must be >= 0")
-    params = PVCellParams(
-        n=float(card["n"]),
-        i0=float(card["i0"]),
-        eta=float(card["eta"]),
-        temperature=float(card["temperature"]),
-    )
-    return ModuleSpec(cell_count=card["cell_count"], params=params)
+    try:
+        params = PVCellParams(n=card["n"], i0=card["i0"], eta=card["eta"], temperature=card["temperature"])
+        return ModuleSpec(cell_count=card["cell_count"], params=params)
+    except ValueError as exc:
+        raise SchemaError(f"model card {exc}") from None

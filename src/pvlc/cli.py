@@ -281,7 +281,7 @@ def _typed(merged, key, kind, positive=False):
         valid = isinstance(value, str)
     else:
         number = (int,) if kind is int else (int, float)
-        valid = isinstance(value, number) and not isinstance(value, bool) and is_finite(value)
+        valid = isinstance(value, number) and is_finite(value)
     if valid and positive:
         valid = value > 0
     if not valid:

@@ -58,12 +58,10 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     rms = float(np.sqrt(np.einsum("i,i->", flat, flat) / flat.size))
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
-    p = spec.params
-    scale = spec.cell_count * p.n * p.v_t
     v_dc = module_voltage(cfg.operating_lux, spec)
     # Capping v at v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
     # local gain at gain_cap times the operating-point gain.
-    v_ceiling = v_dc + scale * np.log(cfg.gain_cap)
+    v_ceiling = v_dc + spec.scale * np.log(cfg.gain_cap)
     # every step after the first sum runs in place on one new array; the
     # clip keeps the voltages in the inverse's range
     out = v_ac + v_dc

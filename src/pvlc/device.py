@@ -2,10 +2,13 @@
 
 A single cell converts illuminance to an open-circuit voltage through the
 diode equation: V = n*v_t*ln(eta*L/i0 + 1).  A module of N identical cells
-in series multiplies that voltage by N.  All operations here are pure
-functions; everything is valid for scalars or numpy arrays of illuminance.
+in series multiplies that voltage by N; `ModuleSpec.scale` is N*n*v_t.  The
+classes hold the input rules the other modules reuse.  All operations here are
+pure functions, valid for scalars or numpy arrays of illuminance.
 """
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -19,8 +22,13 @@ DEFAULT_TEMPERATURE = 300.0  # K
 
 
 def is_finite(value) -> bool:
-    """True for a finite real number; an int of any size is compared exactly, never overflows."""
-    return abs(value) <= sys.float_info.max
+    """True for a finite real number that is not a bool (JSON true parses as one, an int).
+
+    Python's json reads Infinity and NaN as floats and integers of any size as
+    ints; an int of any size is compared exactly, never overflows.
+    """
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -39,14 +47,11 @@ class PVCellParams:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        if not (self.n > 0):
-            raise ValueError(f"ideality factor must be > 0, got {self.n}")
-        if not (self.i0 > 0):
-            raise ValueError(f"saturation current must be > 0, got {self.i0}")
-        if not (self.eta > 0):
-            raise ValueError(f"conversion factor must be > 0, got {self.eta}")
-        if not (self.temperature > 0):
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        for name in ("n", "i0", "eta", "temperature"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def v_t(self) -> float:
@@ -62,8 +67,14 @@ class ModuleSpec:
     params: PVCellParams
 
     def __post_init__(self):
-        if not (isinstance(self.cell_count, (int, np.integer)) and self.cell_count >= 1):
-            raise ValueError(f"cell_count must be an integer >= 1, got {self.cell_count}")
+        count = self.cell_count
+        if not (isinstance(count, (int, np.integer)) and is_finite(count) and count >= 1):
+            raise ValueError(f"cell_count must be an integer >= 1, got {count!r}")
+
+    @property
+    def scale(self) -> float:
+        """The module's voltage scale N*n*v_t, volts."""
+        return self.cell_count * self.params.n * self.params.v_t
 
 
 @dataclass(frozen=True)
@@ -137,29 +148,24 @@ def first_derivative(lux, spec: ModuleSpec, form: str = "exact"):
     'exact' differentiates the module voltage: N*n*v_t*eta/(eta*L + i0).
     'asymptotic' is its eta*L >> i0 limit N*n*v_t/L, which requires L > 0.
     """
-    p = spec.params
-    scale = spec.cell_count * p.n * p.v_t
-    if form == "exact":
-        arr = _as_lux_array(lux)
-        d = scale * p.eta / (p.eta * arr + p.i0)
-    elif form == "asymptotic":
-        arr = _as_lux_array(lux, allow_zero=False)
-        d = scale / arr
-    else:
-        raise ValueError(f"form must be 'exact' or 'asymptotic', got {form!r}")
-    return _match(d, lux)
+    return _derivative(lux, spec, form, 1)
 
 
 def second_derivative(lux, spec: ModuleSpec, form: str = "exact"):
     """Curvature d2V/dL2, volts per lux^2; negative everywhere (concave)."""
+    return _derivative(lux, spec, form, 2)
+
+
+def _derivative(lux, spec: ModuleSpec, form, order):
+    """d^k V/dL^k for k = `order` 1 or 2: +-N*n*v_t*eta^k/(eta*L + i0)^k, or +-N*n*v_t/L^k."""
     p = spec.params
-    scale = spec.cell_count * p.n * p.v_t
+    scale = spec.scale if order == 1 else -spec.scale
     if form == "exact":
         arr = _as_lux_array(lux)
-        d = -scale * p.eta**2 / (p.eta * arr + p.i0) ** 2
+        d = scale * p.eta**order / (p.eta * arr + p.i0) ** order
     elif form == "asymptotic":
         arr = _as_lux_array(lux, allow_zero=False)
-        d = -scale / arr**2
+        d = scale / arr**order
     else:
         raise ValueError(f"form must be 'exact' or 'asymptotic', got {form!r}")
     return _match(d, lux)
@@ -184,8 +190,7 @@ def inverse_voltage_in_place(volts, spec: ModuleSpec):
     `volts` must be a float ndarray of voltages >= 0; it is returned
     holding the illuminances.
     """
-    p = spec.params
-    volts /= spec.cell_count * p.n * p.v_t
+    volts /= spec.scale
     np.expm1(volts, out=volts)
-    volts *= p.i0 / p.eta
+    volts *= spec.params.i0 / spec.params.eta
     return volts

@@ -75,8 +75,9 @@ class LinkConfig:
     def __post_init__(self):
         for name in ("bit_rate", "mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
                      "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"):
-            if not is_finite(getattr(self, name) or 0.0):   # lpf_cutoff_hz may be None
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_finite(value) or (name == "lpf_cutoff_hz" and value is None)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.bit_rate > 0):
             raise ValueError("bit_rate must be > 0")
         if not (isinstance(self.samples_per_symbol, (int, np.integer)) and self.samples_per_symbol >= 2):
@@ -95,7 +96,7 @@ class LinkConfig:
             raise ValueError("lpf_cutoff_hz must be positive or None")
         if not (isinstance(self.training_symbols, (int, np.integer)) and self.training_symbols >= 64):
             raise ValueError("training_symbols must be an integer >= 64")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not (isinstance(self.seed, (int, np.integer)) and is_finite(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
@@ -193,7 +194,7 @@ def shot_noise_sigma(lux, spec: ModuleSpec, config: LinkConfig):
     p = spec.params
     lux = np.asarray(lux, dtype=float)
     current_rms = np.sqrt(2.0 * Q_E * p.eta * lux * config.noise_bandwidth_hz)
-    slope = spec.cell_count * p.n * p.v_t / (p.eta * lux + p.i0)
+    slope = spec.scale / (p.eta * lux + p.i0)
     return current_rms * slope
 
 

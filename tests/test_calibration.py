@@ -70,6 +70,12 @@ class TestLoadSamples:
         with pytest.raises(ValueError, match="lux"):
             load_samples(b"lux,volts\n-5,0.1\n")
 
+    @pytest.mark.parametrize("row,field", [("inf,0.5", "lux"), ("-inf,0.5", "lux"),
+                                           ("100,inf", "volts"), ("100,-inf", "volts"), ("nan,0.5", "lux")])
+    def test_non_finite_value_names_line(self, row, field):
+        with pytest.raises(ValueError, match=f"line 3: {field} must be a finite number >= 0"):
+            load_samples(f"lux,volts\n1,0.1\n{row}\n".encode())
+
     def test_zero_lux_offset_warns(self):
         with pytest.warns(UserWarning, match="ambient"):
             load_samples(b"lux,volts\n0,0.05\n")

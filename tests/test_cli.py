@@ -55,6 +55,15 @@ class TestFit:
         code = main(["fit", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["100,inf", "inf,0.5"])
+    def test_non_finite_sample_rejected(self, tmp_path, samples_csv, capsys, row):
+        path = tmp_path / "cal.csv"
+        path.write_text(samples_csv.read_text() + row + "\n")
+        out = tmp_path / "model.json"
+        assert main(["fit", str(path), "--out", str(out)]) == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_csv(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("lux,volts\n" + "100,0.3\n" * 6)

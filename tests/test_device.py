@@ -34,16 +34,30 @@ class TestParams:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=0.0), dict(n=-1.0), dict(i0=0.0), dict(eta=-2e-9), dict(temperature=0.0),
+        *({field: value} for field in ("n", "i0", "eta", "temperature")
+          for value in (np.inf, -np.inf, np.nan, "1.5", True)),
     ])
     def test_invalid_params_rejected(self, kwargs):
         full = dict(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0)
         full.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be a finite number > 0"):
             PVCellParams(**full)
 
     def test_invalid_cell_count(self):
-        with pytest.raises(ValueError):
-            ModuleSpec(cell_count=0, params=PARAMS)
+        for count in (0, True, 1.5, 10**400, np.int64(-1)):
+            with pytest.raises(ValueError, match="cell_count must be an integer >= 1"):
+                ModuleSpec(cell_count=count, params=PARAMS)
+
+    def test_params_stored_as_float(self):
+        params = PVCellParams(n=2, i0=np.float32(1e-10), eta=2e-9, temperature=2**70)
+        assert all(type(getattr(params, f)) is float for f in ("n", "i0", "eta", "temperature"))
+        assert params.n == 2.0 and params.temperature == 2.0**70
+        assert ModuleSpec(cell_count=np.int64(2), params=params).cell_count == 2
+
+    def test_scale_is_module_voltage_per_log_unit(self):
+        spec = ModuleSpec(cell_count=3, params=PARAMS)
+        assert spec.scale == 3 * PARAMS.n * PARAMS.v_t
+        assert module_voltage(250.0, spec) == pytest.approx(spec.scale * np.log1p(250.0 * PARAMS.eta / PARAMS.i0))
 
     def test_invalid_cell_electrical(self):
         with pytest.raises(ValueError):

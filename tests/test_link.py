@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,11 +54,17 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LinkConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("mod_index", "0.3"), ("dcl_lux", None), ("bit_rate", None),
+                                             ("thermal_sigma_v", True), ("tx_dc_lux", [425.0])])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}")):
+            LinkConfig(**{field: value})
+
     def test_finite_values_accepted(self):
         config = LinkConfig(dcl_lux=2**70, ambient_lux=1e300, lpf_cutoff_hz=None)
         assert config.dcl_lux == 2**70 and config.lpf_cutoff_hz is None
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.bool_(False)])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
             LinkConfig(seed=seed)

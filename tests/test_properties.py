@@ -1,4 +1,4 @@
-"""Property tests of the input boundary: CLI options, link flags and model cards.
+"""Property tests of the input boundary: CLI options, link flags, model cards and the model's classes.
 
 Any JSON value a config file or a model card can hold must come out either
 as a value of the declared kind or as a ValueError naming what was wrong;
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pvlc import cli
-from pvlc.calibration import load_model_card
-from pvlc.device import ModuleSpec, is_finite
+from pvlc.calibration import ResponseSample, load_model_card
+from pvlc.device import ModuleSpec, PVCellParams, is_finite
 from pvlc.link import LinkConfig
 
 JSON_SCALARS = (
@@ -114,3 +114,23 @@ def test_model_card_field_yields_spec_or_value_error(field, value):
     except ValueError:
         return
     assert isinstance(spec, ModuleSpec)
+
+
+VALID_FIELDS = {
+    PVCellParams: dict(n=1.5, i0=1e-10, eta=2e-9, temperature=300.0),
+    ModuleSpec: dict(cell_count=2, params=PVCellParams(1.5, 1e-10, 2e-9)),
+    ResponseSample: dict(lux=100.0, volts=0.3),
+}
+CLASS_FIELDS = [(cls, name) for cls, fields in VALID_FIELDS.items() for name in fields if name != "params"]
+
+
+@edge_cases
+@given(value=JSON_VALUES)
+@pytest.mark.parametrize("cls,field", CLASS_FIELDS, ids=[f"{c.__name__}.{f}" for c, f in CLASS_FIELDS])
+def test_class_field_is_finite_or_value_error(cls, field, value):
+    try:
+        obj = cls(**VALID_FIELDS[cls] | {field: value})
+    except ValueError as exc:
+        assert str(exc).startswith(f"{field} must be")
+        return
+    assert is_finite(getattr(obj, field))
