@@ -42,7 +42,6 @@ POSITIONALS = ("command", "kind", "model", "samples")   # not settable from a co
 
 # (flag key, LinkConfig field, type, help) of every link flag, one per LinkConfig field
 LINK_FLAGS = (
-    ("bit_rate", "bit_rate", float, "bit rate, bits per second"),
     ("sps", "samples_per_symbol", int, "samples per symbol"),
     ("mod_index", "mod_index", float, "modulation index, peak AC over DC illuminance, in (0, 1]"),
     ("tx_dc", "tx_dc_lux", float, "transmitter DC illuminance, lux"),
@@ -50,7 +49,7 @@ LINK_FLAGS = (
     ("ambient", "ambient_lux", float, "ambient light illuminance, lux"),
     ("thermal_sigma", "thermal_sigma_v", float, "thermal noise RMS, volts"),
     ("noise_bandwidth", "noise_bandwidth_hz", float, "effective shot-noise bandwidth, Hz (0 disables shot noise)"),
-    ("lpf_cutoff", "lpf_cutoff_hz", float, "single-pole low-pass cutoff, Hz"),
+    ("lpf_cutoff", "lpf_cutoff_hz", float, "single-pole low-pass cutoff, Hz (at 1 Mbit/s)"),
     ("training", "training_symbols", int, "training symbols"),
     ("seed", "seed", int, "RNG seed (required; never clock-seeded)"),
 )

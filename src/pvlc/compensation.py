@@ -12,11 +12,12 @@ and ambient level are all configuration, so the receiver knows the total
 DC illuminance.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ModuleSpec, first_derivative, inverse_voltage_in_place, module_voltage
+from .device import ModuleSpec, first_derivative, inverse_voltage_in_place, is_finite, module_voltage
 
 DEFAULT_GAIN_CAP = 4.0
 
@@ -35,10 +36,10 @@ class PostDistortionConfig:
     gain_cap: float = DEFAULT_GAIN_CAP
 
     def __post_init__(self):
-        if not (self.operating_lux > 0):
-            raise ValueError("operating_lux must be > 0")
-        if not (self.gain_cap >= 1):
-            raise ValueError("gain_cap must be >= 1")
+        if not (is_finite(self.operating_lux) and self.operating_lux > 0):
+            raise ValueError(f"operating_lux must be a finite number > 0, got {self.operating_lux!r}")
+        if not ((is_finite(self.gain_cap) or self.gain_cap == math.inf) and self.gain_cap >= 1):
+            raise ValueError(f"gain_cap must be a number >= 1 or math.inf, got {self.gain_cap!r}")
 
 
 def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):

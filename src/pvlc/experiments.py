@@ -50,11 +50,13 @@ CSV_HEADERS = {
 
 
 def _check_grid(grid, name):
-    grid = [float(g) for g in grid]
+    """The grid as floats, non-empty and strictly ascending; LinkConfig checks each value's range."""
+    grid = list(grid)
     if not grid:
         raise ValueError(f"{name} must not be empty")
-    if not all(map(is_finite, grid)):
+    if not all(map(is_finite, grid)):   # before float(), which would take '0.1' and True
         raise ValueError(f"{name} values must be finite")
+    grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} must be strictly ascending")
     return grid
@@ -128,8 +130,9 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     cell is built before the first one runs, so a bad point fails before any
     work; each cell runs `simulate` on the one read-only payload.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    for name, count in (("repetitions", repetitions), ("payload_symbols", payload_symbols), ("n_jobs", n_jobs)):
+        if not (isinstance(count, (int, np.integer)) and is_finite(count) and count >= 1):
+            raise ValueError(f"{name} must be >= 1 and an integer, got {count!r}")
     bits = payload_bits(2 * payload_symbols, base_config.seed)
     bits.flags.writeable = False
     cells = []
@@ -160,8 +163,6 @@ def sweep_ber_vs_m(
 ):
     """Median BER per (tx illuminance, modulation index) grid point."""
     m_grid = _check_grid(m_grid, "m_grid")
-    if any(not 0 < m <= 1 for m in m_grid):
-        raise ValueError("m_grid values must lie in (0, 1]")
     illuminance_list = _check_grid(illuminance_list, "illuminance_list")
     points = [(tx, m, base_config.dcl_lux) for tx in illuminance_list for m in m_grid]
     bers = _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs)
@@ -182,8 +183,6 @@ def sweep_ber_vs_dcl(
 ):
     """Median BER per (modulation index, compensation-light illuminance)."""
     dcl_grid = _check_grid(dcl_grid, "dcl_grid")
-    if any(d < 0 for d in dcl_grid):
-        raise ValueError("dcl_grid values must be >= 0")
     m_list = _check_grid(m_list, "m_list")
     points = [(base_config.tx_dc_lux, m, dcl) for m in m_list for dcl in dcl_grid]
     bers = _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs)

@@ -42,6 +42,7 @@ from scipy import signal as sp_signal
 from .device import ModuleSpec, Q_E, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
+BIT_RATE = 1e6   # the paper's 1 Mbit/s; 2 bits per PAM4 symbol
 
 LEVELS = (2.0 * np.arange(4) - 3.0) / 3.0   # -1, -1/3, +1/3, +1
 BLOCK_SYMBOLS = 4096   # symbols per block of the level-table receiver: 256 KiB of float64 at 8 sps
@@ -57,10 +58,10 @@ class LinkConfig:
 
     mod_index is the peak AC illuminance divided by the DC illuminance, so
     PAM4 symbol s produces tx_dc_lux * (1 + mod_index * s) and stays
-    nonnegative for mod_index <= 1.
+    nonnegative for mod_index <= 1.  The bit rate is the constant BIT_RATE.
+    These checks are the only ones on link values; the sweeps rely on them.
     """
 
-    bit_rate: float = 1e6
     samples_per_symbol: int = 8
     mod_index: float = 0.3
     tx_dc_lux: float = 425.0
@@ -73,13 +74,11 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("bit_rate", "mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
+        for name in ("mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
                      "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"):
             value = getattr(self, name)
             if not (is_finite(value) or (name == "lpf_cutoff_hz" and value is None)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (self.bit_rate > 0):
-            raise ValueError("bit_rate must be > 0")
         if not (isinstance(self.samples_per_symbol, (int, np.integer)) and self.samples_per_symbol >= 2):
             raise ValueError("samples_per_symbol must be an integer >= 2")
         if not (0 < self.mod_index <= 1):
@@ -100,12 +99,8 @@ class LinkConfig:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
-    def symbol_rate(self) -> float:
-        return self.bit_rate / 2.0   # 2 bits per PAM4 symbol
-
-    @property
     def sample_rate(self) -> float:
-        return self.symbol_rate * self.samples_per_symbol
+        return BIT_RATE / 2.0 * self.samples_per_symbol
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ class TestSimulate:
 
 # A valid value other than the default for every LinkConfig field.
 NON_DEFAULT_LINK = dict(
-    bit_rate=2e6, samples_per_symbol=4, mod_index=0.25, tx_dc_lux=300.0, dcl_lux=50.0,
+    samples_per_symbol=4, mod_index=0.25, tx_dc_lux=300.0, dcl_lux=50.0,
     ambient_lux=10.0, thermal_sigma_v=2e-3, noise_bandwidth_hz=1e9,
     lpf_cutoff_hz=2e5, training_symbols=128, seed=9,
 )
@@ -306,7 +306,7 @@ class TestBoundary:
         assert "--lux-max must be a positive number" in capsys.readouterr().err
         assert not (out / "response.csv").exists()
 
-    @pytest.mark.parametrize("key", ["modindex", "model", "config", "reps", "no_shot"])
+    @pytest.mark.parametrize("key", ["modindex", "model", "config", "reps", "no_shot", "bit_rate"])
     def test_unknown_config_key_rejected(self, model_json, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, key: 0.3}))
@@ -320,6 +320,13 @@ class TestBoundary:
             main(["simulate", str(model_json), "--seed", "1", "--no-shot"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --no-shot" in capsys.readouterr().err
+
+    def test_bit_rate_flag_rejected(self, model_json, capsys):
+        """The bit rate is fixed at 1 Mbit/s; --lpf-cutoff is the one bandwidth knob."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(model_json), "--seed", "1", "--bit-rate", "2e6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bit-rate" in capsys.readouterr().err
 
     def test_hyphenated_config_keys_accepted(self, model_json, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

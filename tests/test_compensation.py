@@ -63,6 +63,22 @@ class TestPostDistort:
         with pytest.raises(ValueError):
             PostDistortionConfig(operating_lux=100.0, gain_cap=0.5)
 
+    @pytest.mark.parametrize("lux", [True, np.True_, "350", None, math.nan, math.inf, -1.0, 10**400])
+    def test_operating_lux_must_be_finite_positive(self, lux):
+        with pytest.raises(ValueError, match=f"operating_lux must be a finite number > 0, got {lux!r}"):
+            PostDistortionConfig(lux)
+
+    @pytest.mark.parametrize("cap", [True, np.True_, "4", None, math.nan, -math.inf, 0.5, 10**400])
+    def test_gain_cap_must_be_at_least_one(self, cap):
+        with pytest.raises(ValueError, match=f"gain_cap must be a number >= 1 or math.inf, got {cap!r}"):
+            PostDistortionConfig(350.0, cap)
+
+    @pytest.mark.parametrize("lux,cap", [(350, 1), (np.float64(350.0), np.int64(4)), (1e-3, math.inf),
+                                         (350.0, np.inf)])
+    def test_numbers_accepted(self, lux, cap):
+        cfg = PostDistortionConfig(lux, cap)
+        assert (cfg.operating_lux, cfg.gain_cap) == (lux, cap)
+
 
     @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
     def test_matches_reference_formula(self, gain_cap):

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -209,7 +210,7 @@ class TestBerSweeps:
             sweep_ber_vs_dcl([], [0.3], config, MODULE, **FAST)
         with pytest.raises(ValueError, match="dcl_grid must be strictly ascending"):
             sweep_ber_vs_dcl([100.0, 50.0], [0.3], config, MODULE, **FAST)
-        with pytest.raises(ValueError, match="dcl_grid values must be >= 0"):
+        with pytest.raises(ValueError, match="dcl_lux"):
             sweep_ber_vs_dcl([-50.0, 100.0], [0.3], config, MODULE, **FAST)
 
     @pytest.mark.parametrize("sweep,grid", [
@@ -218,8 +219,9 @@ class TestBerSweeps:
         (lambda g: sweep_ber_vs_m([0.3], g, base_config(), MODULE, **FAST), "illuminance_list"),
         (lambda g: sweep_postdistortion(g, base_config(), MODULE, **FAST), "m_grid"),
     ], ids=["dcl_grid", "m_list", "illuminance_list", "m_grid"])
-    @pytest.mark.parametrize("values", [[float("nan")], [0.0, float("inf")], [425.0, float("inf")]],
-                             ids=["nan", "0,inf", "425,inf"])
+    @pytest.mark.parametrize("values", [[float("nan")], [0.0, float("inf")], [425.0, float("inf")],
+                                        ["0.1", 0.3], [0.1, True], [np.True_], [None]],
+                             ids=["nan", "0,inf", "425,inf", "str", "bool", "np_bool", "None"])
     def test_non_finite_grid_rejected(self, monkeypatch, sweep, grid, values):
         monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
         with pytest.raises(ValueError, match=f"{grid} values must be finite"):
@@ -229,7 +231,9 @@ class TestBerSweeps:
         (lambda: sweep_postdistortion([0.2, 1.5], base_config(), MODULE, **FAST), "mod_index"),
         (lambda: sweep_ber_vs_dcl([0.0], [0.3, 1.5], base_config(), MODULE, **FAST), "mod_index"),
         (lambda: sweep_postdistortion([0.2], base_config(), MODULE, gain_cap=0.5, **FAST), "gain_cap"),
-    ], ids=["postdist_m", "dcl_m_list", "gain_cap"])
+        (lambda: sweep_ber_vs_m([0.2, 1.2], [200.0], base_config(), MODULE, **FAST), "mod_index"),
+        (lambda: sweep_ber_vs_dcl([-50.0, 100.0], [0.3], base_config(), MODULE, **FAST), "dcl_lux"),
+    ], ids=["postdist_m", "dcl_m_list", "gain_cap", "ber_vs_m_m", "dcl_grid"])
     def test_bad_point_fails_before_any_cell_runs(self, monkeypatch, sweep, match):
         """Every cell's LinkConfig and receivers are built before the first cell runs."""
         monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
@@ -286,6 +290,23 @@ class TestBerSweeps:
     def test_zero_repetitions_rejected(self, sweep):
         with pytest.raises(ValueError, match="repetitions must be >= 1"):
             sweep(repetitions=0, payload_symbols=4000)
+
+    @pytest.mark.parametrize("sweep", [
+        lambda **kw: sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, **kw),
+        lambda **kw: sweep_ber_vs_dcl([0.0], [0.3], base_config(), MODULE, **kw),
+        lambda **kw: sweep_postdistortion([0.3], base_config(), MODULE, **kw),
+    ], ids=["ber_vs_m", "ber_vs_dcl", "postdist"])
+    @pytest.mark.parametrize("name", ["repetitions", "payload_symbols", "n_jobs"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, np.int64(0), None, "2"])
+    def test_bad_count_fails_before_any_cell_runs(self, monkeypatch, sweep, name, value):
+        monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer, got {re.escape(repr(value))}"):
+            sweep(**(FAST | {name: value}))
+
+    def test_numpy_integer_counts_accepted(self):
+        rows = sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, repetitions=np.int64(2),
+                              payload_symbols=np.int64(2000), n_jobs=np.int64(2))
+        assert rows == sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, repetitions=2, payload_symbols=2000)
 
 
 class TestEye:

@@ -13,6 +13,7 @@ from pvlc.link import (
     _dibits,
     _single_pole_lowpass,
     _slice,
+    BIT_RATE,
     BLOCK_SYMBOLS,
     FEC_BER_THRESHOLD,
     LEVELS,
@@ -47,18 +48,24 @@ def quiet_config(**overrides):
 
 
 class TestLinkConfig:
-    @pytest.mark.parametrize("field", ["bit_rate", "mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
+    @pytest.mark.parametrize("field", ["mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
                                        "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 10**400], ids=["nan", "inf", "10**400"])
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LinkConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [("mod_index", "0.3"), ("dcl_lux", None), ("bit_rate", None),
+    @pytest.mark.parametrize("field,value", [("mod_index", "0.3"), ("dcl_lux", None), ("ambient_lux", None),
                                              ("thermal_sigma_v", True), ("tx_dc_lux", [425.0])])
     def test_non_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}")):
             LinkConfig(**{field: value})
+
+    def test_bit_rate_is_not_a_field(self):
+        """The bit rate is the constant BIT_RATE; lpf_cutoff_hz is the one bandwidth knob."""
+        with pytest.raises(TypeError, match="bit_rate"):
+            LinkConfig(bit_rate=1e6)
+        assert LinkConfig(samples_per_symbol=4).sample_rate == BIT_RATE / 2.0 * 4
 
     def test_finite_values_accepted(self):
         config = LinkConfig(dcl_lux=2**70, ambient_lux=1e300, lpf_cutoff_hz=None)
@@ -243,7 +250,7 @@ class TestReceive:
         rng = np.random.default_rng(0)
         symbols = np.tile([1.0, -1.0], 64)
         sharp = quiet_config()
-        soft = quiet_config(lpf_cutoff_hz=sharp.symbol_rate / 4)
+        soft = quiet_config(lpf_cutoff_hz=sharp.sample_rate / sharp.samples_per_symbol / 4)
         tx = tx_waveform(symbols, sharp)
         v_sharp = receive(tx, MODULE, sharp, rng)
         v_soft = receive(tx, MODULE, soft, rng)
