@@ -228,8 +228,8 @@ def _initial_guess(lux, volts, prefactor):
 
 def to_i0(fit: FitResult, eta: float) -> float:
     """Back out the saturation current i0 = eta / a_hat, amperes."""
-    if not (eta > 0):
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not (is_finite(eta) and eta > 0):
+        raise ValueError(f"eta must be a finite number > 0, got {eta!r}")
     return eta / fit.a_hat
 
 

@@ -37,7 +37,7 @@ from .seeding import payload_bits
 
 import numpy as np
 
-DEFAULT_ETA = 2e-9  # A/lux, assumed conversion factor when none is calibrated
+DEFAULT_ETA = experiments.DEFAULT_MODULE.params.eta  # A/lux, assumed when none is calibrated
 POSITIONALS = ("command", "kind", "model", "samples")   # not settable from a config file
 
 # (flag key, LinkConfig field, type, help) of every link flag, one per LinkConfig field

@@ -3,8 +3,8 @@
 A single cell converts illuminance to an open-circuit voltage through the
 diode equation: V = n*v_t*ln(eta*L/i0 + 1).  A module of N identical cells
 in series multiplies that voltage by N; `ModuleSpec.scale` is N*n*v_t.  The
-classes hold the input rules the other modules reuse.  All operations here are
-pure functions, valid for scalars or numpy arrays of illuminance.
+classes, `is_finite` and `check_count` hold the input rules the other modules
+reuse.  All operations here are pure functions, valid for scalars or numpy arrays.
 """
 
 import math
@@ -29,6 +29,13 @@ def is_finite(value) -> bool:
     """
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)))
+
+
+def check_count(name, value, minimum):
+    """`value` if it is an int or numpy integer >= `minimum` that passes `is_finite` (no bool), else a ValueError."""
+    if not (isinstance(value, (int, np.integer)) and is_finite(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,7 @@ class ModuleSpec:
     params: PVCellParams
 
     def __post_init__(self):
-        count = self.cell_count
-        if not (isinstance(count, (int, np.integer)) and is_finite(count) and count >= 1):
-            raise ValueError(f"cell_count must be an integer >= 1, got {count!r}")
+        check_count("cell_count", self.cell_count, 1)
 
     @property
     def scale(self) -> float:
@@ -85,9 +90,9 @@ class CellElectrical:
     r_shunt: float
 
     def __post_init__(self):
-        if not (self.i_ph >= 0):
+        if not (is_finite(self.i_ph) and self.i_ph >= 0):
             raise ValueError(f"photocurrent must be >= 0, got {self.i_ph}")
-        if not (self.r_shunt > 0):
+        if not (is_finite(self.r_shunt) and self.r_shunt > 0):
             raise ValueError(f"shunt resistance must be > 0, got {self.r_shunt}")
 
 

@@ -19,6 +19,7 @@ from .compensation import DEFAULT_GAIN_CAP, PostDistortionConfig, post_distort
 from .device import (
     ModuleSpec,
     PVCellParams,
+    check_count,
     first_derivative,
     is_finite,
     module_voltage,
@@ -67,7 +68,7 @@ def _curve_table(lux_grid, cell_counts, spec: ModuleSpec, curves):
     lux_grid = np.asarray(list(lux_grid), dtype=float)
     rows = []
     for cells in cell_counts:
-        module = replace(spec, cell_count=int(cells))
+        module = replace(spec, cell_count=cells)   # ModuleSpec checks the count
         columns = [curve(lux_grid, module) for curve in curves]
         rows.extend((float(l), int(cells), *map(float, values)) for l, *values in zip(lux_grid, *columns))
     return rows
@@ -131,8 +132,7 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     work; each cell runs `simulate` on the one read-only payload.
     """
     for name, count in (("repetitions", repetitions), ("payload_symbols", payload_symbols), ("n_jobs", n_jobs)):
-        if not (isinstance(count, (int, np.integer)) and is_finite(count) and count >= 1):
-            raise ValueError(f"{name} must be >= 1 and an integer, got {count!r}")
+        check_count(name, count, 1)
     bits = payload_bits(2 * payload_symbols, base_config.seed)
     bits.flags.writeable = False
     cells = []
@@ -217,8 +217,8 @@ def export_eye(v, samples_per_symbol: int, traces: int):
     half their width.  Returns a (traces, 2*samples_per_symbol) array.
     """
     v = np.asarray(v, dtype=float)
-    if traces < 1:
-        raise ValueError("traces must be >= 1")
+    check_count("samples_per_symbol", samples_per_symbol, 1)
+    check_count("traces", traces, 1)
     if v.size < traces * 2 * samples_per_symbol:
         raise ValueError(
             f"waveform has {v.size} samples, need at least {traces * 2 * samples_per_symbol}"

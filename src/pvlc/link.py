@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from .device import ModuleSpec, Q_E, is_finite, module_voltage
+from .device import ModuleSpec, Q_E, check_count, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
 BIT_RATE = 1e6   # the paper's 1 Mbit/s; 2 bits per PAM4 symbol
@@ -79,8 +79,7 @@ class LinkConfig:
             value = getattr(self, name)
             if not (is_finite(value) or (name == "lpf_cutoff_hz" and value is None)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (isinstance(self.samples_per_symbol, (int, np.integer)) and self.samples_per_symbol >= 2):
-            raise ValueError("samples_per_symbol must be an integer >= 2")
+        check_count("samples_per_symbol", self.samples_per_symbol, 2)
         if not (0 < self.mod_index <= 1):
             raise ValueError(f"mod_index must be in (0, 1], got {self.mod_index}")
         if not (self.tx_dc_lux > 0):
@@ -93,10 +92,8 @@ class LinkConfig:
             raise ValueError("noise_bandwidth_hz must be >= 0")
         if self.lpf_cutoff_hz is not None and not (self.lpf_cutoff_hz > 0):
             raise ValueError("lpf_cutoff_hz must be positive or None")
-        if not (isinstance(self.training_symbols, (int, np.integer)) and self.training_symbols >= 64):
-            raise ValueError("training_symbols must be an integer >= 64")
-        if not (isinstance(self.seed, (int, np.integer)) and is_finite(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_count("training_symbols", self.training_symbols, 64)
+        check_count("seed", self.seed, 0)
 
     @property
     def sample_rate(self) -> float:
@@ -114,8 +111,9 @@ class BerReport:
 
     @classmethod
     def from_counts(cls, bits_total, bits_errored):
-        if bits_total <= 0:
-            raise ValueError("bits_total must be > 0")
+        check_count("bits_total", bits_total, 1)
+        if check_count("bits_errored", bits_errored, 0) > bits_total:
+            raise ValueError(f"bits_errored must be <= bits_total ({bits_total}), got {bits_errored!r}")
         ber = bits_errored / bits_total
         return cls(int(bits_total), int(bits_errored), ber, ber < FEC_BER_THRESHOLD)
 
@@ -271,8 +269,7 @@ def symbol_statistics(v, samples_per_symbol):
     sums pairwise, and the two may differ in the last bits.
     """
     v = np.asarray(v, dtype=float)
-    if not (isinstance(samples_per_symbol, (int, np.integer)) and samples_per_symbol >= 2):
-        raise ValueError(f"samples_per_symbol must be an integer >= 2, got {samples_per_symbol!r}")
+    check_count("samples_per_symbol", samples_per_symbol, 2)
     if v.size % samples_per_symbol != 0:
         raise ValueError("waveform length must be a multiple of samples_per_symbol")
     lo = samples_per_symbol // 4

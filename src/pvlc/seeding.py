@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 
+from .device import check_count
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PAYLOAD_TAG = 0x5041594C4F4144   # distinguishes the payload stream
@@ -43,5 +45,6 @@ def point_seed(base_seed: int, tx_dc_lux: float, mod_index: float, dcl_lux: floa
 
 def payload_bits(n_bits: int, base_seed: int):
     """The sweep-wide payload: fixed across grid points for a given base seed."""
-    rng = np.random.default_rng(mix64(base_seed, _PAYLOAD_TAG))
+    check_count("n_bits", n_bits, 0)
+    rng = np.random.default_rng(mix64(check_count("base_seed", base_seed, 0), _PAYLOAD_TAG))
     return rng.integers(0, 2, n_bits)

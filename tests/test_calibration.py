@@ -179,10 +179,11 @@ class TestToI0:
         assert to_i0(fit, 2e-9) == pytest.approx(1e-10, rel=1e-12)
         assert to_i0(fit, 4e-9) == pytest.approx(2e-10, rel=1e-12)
 
-    def test_eta_must_be_positive(self):
+    @pytest.mark.parametrize("eta", [0.0, -2e-9, np.inf, np.nan, True, "1", None])
+    def test_eta_must_be_positive(self, eta):
         fit = FitResult(n_hat=1.5, a_hat=20.0, rmse=0.0, iterations=1, converged=True)
-        with pytest.raises(ValueError):
-            to_i0(fit, 0.0)
+        with pytest.raises(ValueError, match="eta must be a finite number > 0"):
+            to_i0(fit, eta)
 
 
 class TestModelCard:

@@ -496,6 +496,12 @@ class TestManifest:
             "cells": 1, "temp": 300.0, "eta": 2e-9, "out": str(out)}
         assert "link" not in manifest and manifest["iterations"] >= 1
 
+    def test_fit_eta_default_is_the_default_module(self, capsys):
+        assert cli.DEFAULT_ETA is experiments.DEFAULT_MODULE.params.eta
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "(default 2e-09)" in capsys.readouterr().out
+
     def test_help_shows_table_defaults(self, capsys):
         for kind in ("ber_vs_dcl", "response", "postdist"):
             with pytest.raises(SystemExit):

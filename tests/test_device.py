@@ -3,6 +3,7 @@ import pytest
 
 from pvlc.device import (
     CellElectrical,
+    check_count,
     ModuleSpec,
     PVCellParams,
     cell_voltage,
@@ -44,7 +45,7 @@ class TestParams:
             PVCellParams(**full)
 
     def test_invalid_cell_count(self):
-        for count in (0, True, 1.5, 10**400, np.int64(-1)):
+        for count in (0, True, np.True_, 1.5, 2.0, "2", None, 10**400, np.int64(-1)):
             with pytest.raises(ValueError, match="cell_count must be an integer >= 1"):
                 ModuleSpec(cell_count=count, params=PARAMS)
 
@@ -64,6 +65,26 @@ class TestParams:
             CellElectrical(i_ph=-1e-3, r_shunt=100.0)
         with pytest.raises(ValueError):
             CellElectrical(i_ph=1e-3, r_shunt=0.0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, True, "1.0"])
+    def test_cell_electrical_fields_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="photocurrent must be >= 0"):
+            CellElectrical(i_ph=value, r_shunt=1.0)
+        with pytest.raises(ValueError, match="shunt resistance must be > 0"):
+            CellElectrical(i_ph=1.0, r_shunt=value)
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value,minimum", [(0, 0), (8, 2), (np.int64(8), 8), (np.uint64(2**64 - 1), 1),
+                                               (2**1000, 1)])
+    def test_integer_at_or_above_minimum_returned(self, value, minimum):
+        assert check_count("count", value, minimum) is value
+
+    @pytest.mark.parametrize("value", [True, np.True_, 8.0, "8", None, 10**400, 1, np.int64(-8)])
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ValueError) as exc:
+            check_count("count", value, 2)
+        assert str(exc.value) == f"count must be an integer >= 2, got {value!r}"
 
 
 class TestPhotocurrent:

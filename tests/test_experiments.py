@@ -49,9 +49,25 @@ class TestSeeding:
     def test_payload_fixed_by_base_seed(self):
         assert np.array_equal(payload_bits(1000, 5), payload_bits(1000, 5))
         assert not np.array_equal(payload_bits(1000, 5), payload_bits(1000, 6))
+        assert np.array_equal(payload_bits(np.int64(1000), np.uint64(5)), payload_bits(1000, 5))
+        assert payload_bits(0, 5).size == 0
+
+    @pytest.mark.parametrize("args,match", [
+        ((10, 1.5), "base_seed must be an integer >= 0, got 1.5"), ((10, True), "base_seed must be an integer >= 0, got True"),
+        ((10, -1), "base_seed must be an integer >= 0, got -1"), ((2.5, 1), "n_bits must be an integer >= 0, got 2.5"),
+        ((-2, 1), "n_bits must be an integer >= 0, got -2"),
+    ])
+    def test_payload_rejects_non_counts(self, args, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            payload_bits(*args)
 
 
 class TestResponseSweeps:
+    @pytest.mark.parametrize("count", [1.5, True, 0])
+    def test_cell_counts_are_not_rounded(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"cell_count must be an integer >= 1, got {count!r}")):
+            sweep_response([0.0, 10.0], [1, count], MODULE)
+
     def test_zero_lux_rows_zero(self):
         rows = sweep_response([0.0, 10.0, 100.0], [1, 2, 4, 8], MODULE)
         for lux, cells, volts in rows:
@@ -288,7 +304,7 @@ class TestBerSweeps:
         lambda **kw: sweep_postdistortion([0.3], base_config(), MODULE, **kw),
     ], ids=["ber_vs_m", "ber_vs_dcl", "postdist"])
     def test_zero_repetitions_rejected(self, sweep):
-        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+        with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
             sweep(repetitions=0, payload_symbols=4000)
 
     @pytest.mark.parametrize("sweep", [
@@ -300,7 +316,7 @@ class TestBerSweeps:
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, np.int64(0), None, "2"])
     def test_bad_count_fails_before_any_cell_runs(self, monkeypatch, sweep, name, value):
         monkeypatch.setattr(experiments, "_run_cells", lambda *_: pytest.fail("a cell ran"))
-        with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer, got {re.escape(repr(value))}"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {re.escape(repr(value))}"):
             sweep(**(FAST | {name: value}))
 
     def test_numpy_integer_counts_accepted(self):
@@ -324,6 +340,15 @@ class TestEye:
     def test_insufficient_samples_rejected(self):
         with pytest.raises(ValueError):
             export_eye(np.zeros(100), 8, 10)
+
+    @pytest.mark.parametrize("sps,traces,match", [
+        (8, 2.5, "traces must be an integer >= 1, got 2.5"), (8, True, "traces must be an integer >= 1, got True"),
+        (8, 0, "traces must be an integer >= 1, got 0"), (8.0, 4, "samples_per_symbol must be an integer >= 1, got 8.0"),
+        (0, 4, "samples_per_symbol must be an integer >= 1, got 0"),
+    ])
+    def test_non_count_arguments_rejected(self, sps, traces, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            export_eye(np.zeros(1000), sps, traces)
 
     def eye_gaps(self, tx_dc, mod_index):
         eye, config = self.noiseless_eye(tx_dc, mod_index)

@@ -71,7 +71,7 @@ class TestLinkConfig:
         config = LinkConfig(dcl_lux=2**70, ambient_lux=1e300, lpf_cutoff_hz=None)
         assert config.dcl_lux == 2**70 and config.lpf_cutoff_hz is None
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.bool_(False)])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, np.bool_(False), 10**400])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
             LinkConfig(seed=seed)
@@ -79,6 +79,12 @@ class TestLinkConfig:
     @pytest.mark.parametrize("seed", [0, np.int64(3), 2**64 - 1])
     def test_seed_accepted(self, seed):
         assert LinkConfig(seed=seed).seed == seed
+
+    @pytest.mark.parametrize("field,minimum", [("samples_per_symbol", 2), ("training_symbols", 64)])
+    @pytest.mark.parametrize("value", [10**400, True, 8.0, "8", 1], ids=["10**400", "True", "8.0", "str", "1"])
+    def test_sizes_must_be_integers_at_or_above_minimum(self, field, minimum, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer >= {minimum}, got {value!r}")):
+            LinkConfig(**{field: value})
 
 
 class TestMapping:
@@ -349,7 +355,7 @@ class TestSymbolStatistics:
         v = self.received(sps)
         np.testing.assert_allclose(symbol_statistics(v, sps), self.numpy_mean(v, sps), rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("sps", [1, 0, 2.0])
+    @pytest.mark.parametrize("sps", [1, 0, 2.0, True, 10**400])
     def test_samples_per_symbol_validated(self, sps):
         with pytest.raises(ValueError, match="samples_per_symbol"):
             symbol_statistics(np.zeros(8), sps)
@@ -382,6 +388,16 @@ class TestRunLink:
         report = BerReport.from_counts(1000, 20)
         assert report.ber == 0.02
         assert not report.pass_fec   # threshold is exclusive
+        assert BerReport.from_counts(np.int64(10), np.int64(10)) == BerReport(10, 10, 1.0, False)
+
+    @pytest.mark.parametrize("counts,match", [
+        ((10, 11), "bits_errored must be <= bits_total"), ((10, -1), "bits_errored must be an integer >= 0"),
+        ((10.5, 1), "bits_total must be an integer >= 1"), ((True, 0), "bits_total must be an integer >= 1"),
+        ((0, 0), "bits_total must be an integer >= 1"), ((10, 1.0), "bits_errored must be an integer >= 0"),
+    ])
+    def test_ber_report_rejects_impossible_counts(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            BerReport.from_counts(*counts)
 
     def test_noise_matches_gaussian_q_prediction(self):
         """Measured BER agrees with the closed-form prediction for the

@@ -1,4 +1,4 @@
-"""Property tests of the input boundary: CLI options, link flags, model cards and the model's classes.
+"""Property tests of the input boundary: CLI options, link flags, model cards, the model's classes and counts.
 
 Any JSON value a config file or a model card can hold must come out either
 as a value of the declared kind or as a ValueError naming what was wrong;
@@ -6,14 +6,18 @@ any other exception is a crash at the boundary.  No sweep or link runs here.
 """
 
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pvlc import cli
 from pvlc.calibration import ResponseSample, load_model_card
-from pvlc.device import ModuleSpec, PVCellParams, is_finite
+from pvlc.device import ModuleSpec, PVCellParams, check_count, is_finite
+from pvlc.experiments import export_eye
 from pvlc.link import LinkConfig
+from pvlc.seeding import payload_bits
 
 JSON_SCALARS = (
     st.none()
@@ -134,3 +138,45 @@ def test_class_field_is_finite_or_value_error(cls, field, value):
         assert str(exc).startswith(f"{field} must be")
         return
     assert is_finite(getattr(obj, field))
+
+
+COUNT_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.booleans().map(np.bool_)
+    | st.integers(-3, 300)
+    | st.integers(-3, 300).map(np.int64)
+    | st.integers(0, 2**64 - 1).map(np.uint64)
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4)
+)
+# (minimum, call) of an integer argument at four boundaries, by the name it is checked under
+COUNT_SITES = {
+    "cell_count": (1, lambda n: ModuleSpec(n, PVCellParams(1.5, 1e-10, 2e-9))),
+    "seed": (0, lambda n: LinkConfig(seed=n)),
+    "traces": (1, lambda n: export_eye(np.zeros(64), 2, n)),
+    "base_seed": (0, lambda n: payload_bits(4, n)),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(value=COUNT_VALUES)
+@example(value=10**400)
+@example(value=np.True_)
+@example(value=8.0)
+@example(value="8")
+@example(value=np.int64(0))
+@pytest.mark.parametrize("name", list(COUNT_SITES))
+def test_count_argument_accepts_what_check_count_accepts(name, value):
+    minimum, call = COUNT_SITES[name]
+    try:
+        check_count(name, value, minimum)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            call(value)
+        return
+    try:
+        call(value)
+    except ValueError as exc:   # more traces than the 64-sample waveform holds
+        assert name == "traces" and str(exc).startswith("waveform has 64 samples")
