@@ -24,7 +24,7 @@ out.mkdir(exist_ok=True)
 for tx_dc, m, tag in [(250.0, 0.3, "250lux"), (1250.0, 0.3 * 250.0 / 1250.0, "1250lux")]:
     config = LinkConfig(tx_dc_lux=tx_dc, mod_index=m, thermal_sigma_v=0.0,
                         noise_bandwidth_hz=0.0, seed=42)
-    (trace,) = simulate(config, DEFAULT_MODULE, payload_bits(2 * 512, config.seed))
+    (trace,) = simulate(config, DEFAULT_MODULE, payload_bits(2 * 512, config.seed), waveform=True)
     gaps = np.diff(trace.centroids)
     print(f"tx_dc={tx_dc:.0f} lux (swing {m * tx_dc:.0f} lux): "
           f"eye openings {gaps[0] * 1e3:.2f} / {gaps[1] * 1e3:.2f} / {gaps[2] * 1e3:.2f} mV, "

@@ -256,7 +256,7 @@ def _cmd_sweep(merged, options):
         rows = experiments.sweep_postdistortion(options["m_grid"], config, spec, options["gain_cap"], *runs)
     else:  # eye
         traces, sps = options["traces"], config.samples_per_symbol
-        v = simulate(config, spec, payload_bits(2 * max(2 * traces + 8, 256), config.seed))[0].v
+        v = simulate(config, spec, payload_bits(2 * max(2 * traces + 8, 256), config.seed), waveform=True)[0].v
         write_eye_csv(export_eye(v[config.training_symbols * sps :], sps, traces), out_dir / "eye.csv")
     if kind in CSV_HEADERS:
         write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)

@@ -9,23 +9,26 @@ and the demos all call it.  Rectangular NRZ puts only four illuminances on
 the receiver, one per PAM4 level, so it evaluates the OE voltage and the
 noise variance once per level (a level table) and gathers them by symbol,
 instead of once per sample as the public `receive` does.  The noisy
-waveform is built in place as a (symbols, samples_per_symbol) array, in
-blocks of BLOCK_SYMBOLS symbols that each gather their own voltages and
-sigmas, AC-coupled in place and made read-only.  One realization serves
-the plain receiver and any number of post-processed ones, which return
-new arrays, so a plain/compensated comparison sees the same noise.
-Every step applies the same operations to the same values as the
-samplewise `receive` -> `ac_couple` -> `detect_pam4` pipeline and draws
-the same normals in the same order, even with both noise sources off
-(z * 0 adds +-0), so every waveform and error count is bit-identical;
-tests compare the two.
+waveform is built in blocks of BLOCK_SYMBOLS symbols that draw the same
+normals in the same order as `receive`, even with both noise sources off
+(z * 0 adds +-0), so the raw waveform is bit-identical to `receive`'s.
+The plain slicer reads only each symbol's statistic and the mean, so each
+block is reduced as it is built.  mu is the sum of the block sums over
+the sample count, not numpy's pairwise mean, and the plain statistics are
+the raw ones minus mu: the samplewise `ac_couple` -> `detect_pam4`
+pipeline up to rounding, with the same error counts.  Tests compare both.
+The waveform exists only on request (`waveform=True`) or for a
+postprocess: then it is AC-coupled in place with the same mu and made
+read-only, and one realization serves the plain receiver and any number
+of post-processed ones, which return new arrays, so a plain/compensated
+comparison sees the same noise.
 The decision statistic sums a symbol's central samples left to right,
 which is numpy's mean bit for bit below 8 central samples and agrees with
-it to the last bits from 8 on.  Symbol-rate integers are uint8: a cell holds
-one float64 waveform per receiver plus float64 statistics, and its
-tracemalloc peak is about 1.2x the waveform's bytes for the plain
-receiver, with or without the low-pass, and 2.4x for a plain +
-post-distorted pair.
+it to the last bits from 8 on.  Symbol-rate integers are uint8.  Without
+the waveform a cell holds one block buffer plus float64 statistics: at
+50 000 payload symbols its tracemalloc peak is about 0.29x the waveform's
+bytes (0.43x with the low-pass), and 2.4x for a plain + post-distorted
+pair, which holds the waveform and its compensated copy.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -220,24 +223,34 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
-def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
-    """`receive` of these levels' NRZ waveform from a level table, as a (symbols, sps) array.
+def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
+    """AC-coupled symbol statistics of these levels' received NRZ waveform, and the waveform on request.
 
-    The waveform is filled in blocks of BLOCK_SYMBOLS symbols, so no
-    whole-cell table of per-symbol voltages or sigmas exists beside it.  The
-    low-pass filters each block's voltage, carrying its state from block to
-    block, so it too holds no more than a block beside the waveform.
+    Returns (statistics, flat read-only AC-coupled waveform or None).  The
+    waveform, `receive`'s bit for bit, is built from a level table in blocks of BLOCK_SYMBOLS
+    symbols, so no whole-cell table of per-symbol voltages or sigmas
+    exists.  Each block lands in one reused buffer, or with `waveform` in
+    its rows of the whole (symbols, sps) array; either way its statistics
+    go to their slice and its `block.sum()` to a running total, whose mean
+    mu both then subtract.  The low-pass filters each block's voltage,
+    carrying its state from block to block.
     """
     sps = config.samples_per_symbol
+    rows = level_indices.size if waveform else min(level_indices.size, BLOCK_SYMBOLS)
+    if rows * sps * 8 > np.iinfo(np.intp).max:   # numpy's limit on an array's bytes
+        raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
+                         "array exceeds numpy's maximum array size")
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
     lpf_state = None
-    out = np.empty((level_indices.size, sps))
+    stats = np.empty(level_indices.size)
+    out = np.empty((rows, sps))
+    total = 0.0
     for start in range(0, level_indices.size, BLOCK_SYMBOLS):
         stop = start + BLOCK_SYMBOLS
-        block = out[start:stop]
         idx = level_indices[start:stop].astype(np.intp)   # numpy gathers by intp at twice its uint8 speed
+        block = out[start:stop] if waveform else out[: idx.size]
         v = v_level[idx][:, None]
         if config.lpf_cutoff_hz is not None:
             v, lpf_state = _single_pole_lowpass(np.repeat(v_level[idx], sps), config.lpf_cutoff_hz,
@@ -249,7 +262,16 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng):
         rng.standard_normal(out=block)
         block *= sigma_level[idx][:, None]
         block += v
-    return out
+        symbol_statistics(block, sps, out=stats[start:stop])
+        total += block.sum()
+    mu = total / (level_indices.size * sps)
+    stats -= mu
+    stats.flags.writeable = False   # every plain receiver of the cell shares it
+    if not waveform:
+        return stats, None
+    out -= mu   # ac_couple, in place
+    out.flags.writeable = False
+    return stats, out.ravel()
 
 
 def ac_couple(v):
@@ -260,13 +282,14 @@ def ac_couple(v):
     return v - v.mean()
 
 
-def symbol_statistics(v, samples_per_symbol):
+def symbol_statistics(v, samples_per_symbol, out=None):
     """Per-symbol decision statistic: mean of the central half of each symbol.
 
     The central columns are summed left to right and the sum divided by
     their count.  That is numpy's `mean(axis=1)` bit for bit for fewer than
     8 central samples (samples_per_symbol <= 13); for wider windows numpy
-    sums pairwise, and the two may differ in the last bits.
+    sums pairwise, and the two may differ in the last bits.  `out`, when
+    given, is the one-per-symbol array the statistics are written into.
     """
     v = np.asarray(v, dtype=float)
     check_count("samples_per_symbol", samples_per_symbol, 2)
@@ -275,7 +298,7 @@ def symbol_statistics(v, samples_per_symbol):
     lo = samples_per_symbol // 4
     hi = samples_per_symbol - lo
     rows = v.reshape(-1, samples_per_symbol)
-    stats = rows[:, lo] + rows[:, lo + 1]
+    stats = np.add(rows[:, lo], rows[:, lo + 1], out=out)
     for column in range(lo + 2, hi):
         stats += rows[:, column]
     stats /= hi - lo
@@ -348,10 +371,11 @@ class LinkTrace:
     """What one receiver of `simulate` saw and decided.
 
     v is the flat waveform its slicer read, training symbols first: the
-    AC-coupled received voltage, or what a postprocess made of it.
+    AC-coupled received voltage, or what a postprocess made of it.  It is
+    None for the plain receiver when `simulate` built no waveform.
     """
 
-    v: np.ndarray
+    v: np.ndarray | None
     stats: np.ndarray          # per-symbol decision statistics
     centroids: np.ndarray      # trained level centroids, by level index
     thresholds: np.ndarray     # ascending midpoints of the centroids
@@ -359,16 +383,17 @@ class LinkTrace:
     report: BerReport
 
 
-def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(None,)):
+def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(None,), waveform=False):
     """Run the link once and slice it with one receiver per entry of `postprocesses`.
 
     Returns one LinkTrace per entry, all from one noise realization.  An
     entry of None is the plain receiver; any other entry is applied to the
-    AC-coupled waveform before its slicer.  The waveform is read-only, so
-    a postprocess returns a new array.  Deterministic for a
-    fixed config (the RNG derives from config.seed).  Errors are counted
-    per symbol: a decision costs as many bits as its Gray code differs
-    from the sent dibit in.
+    AC-coupled waveform before its slicer.  The waveform is built only
+    when an entry is not None or `waveform` is true; it is read-only, so a
+    postprocess returns a new array.  Deterministic for a fixed config
+    (the RNG derives from config.seed).  Errors are counted per symbol: a
+    decision costs as many bits as its Gray code differs from the sent
+    dibit in.
     """
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
@@ -376,13 +401,15 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     sent = _dibits(payload_bits)
     train = training_sequence(config)
     levels = np.concatenate([train, _gray(sent)])
-    v = _received(levels, spec, config, np.random.default_rng(config.seed)).ravel()
-    v -= v.mean()   # ac_couple, in place
-    v.flags.writeable = False
+    waveform = waveform or any(postprocess is not None for postprocess in postprocesses)
+    plain, v = _received(levels, spec, config, np.random.default_rng(config.seed), waveform)
     traces = []
     for postprocess in postprocesses:
-        out = v if postprocess is None else postprocess(v)
-        stats = symbol_statistics(out, config.samples_per_symbol)
+        if postprocess is None:
+            out, stats = v, plain
+        else:
+            out = postprocess(v)
+            stats = symbol_statistics(out, config.samples_per_symbol)
         centroids, thresholds, detected = _slice(stats, train)
         wrong = _gray(detected) ^ sent   # the bits each decision got wrong
         errors = int(np.count_nonzero(wrong & 1) + np.count_nonzero(wrong & 2))

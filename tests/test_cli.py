@@ -290,6 +290,14 @@ class TestBoundary:
         assert code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "eye"]], ids=["simulate", "eye"])
+    def test_unallocatable_sps_rejected(self, model_json, tmp_path, capsys, command):
+        """--sps passes every count rule here; the receiver names it before it allocates."""
+        out = ["--out-dir", str(tmp_path)] if command[0] == "sweep" else []
+        code = main([*command, str(model_json), "--seed", "1", "--sps", str(10**30), *out])
+        assert code == 2
+        assert f"samples_per_symbol {10**30} is too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--dcl", "--mod-index", "--thermal-sigma"])
     def test_non_finite_link_flag_rejected(self, model_json, capsys, flag):
         code = main(["simulate", str(model_json), "--seed", "1", flag, "nan"])

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,12 +325,26 @@ class TestBerSweeps:
                               payload_symbols=np.int64(2000), n_jobs=np.int64(2))
         assert rows == sweep_ber_vs_m([0.3], [425.0], base_config(), MODULE, repetitions=2, payload_symbols=2000)
 
+    def test_sweep_peak_memory_below_one_waveform(self):
+        """tracemalloc peak of a 4-cell sweep on 2 threads at 50 000 payload symbols: its
+        plain cells hold symbol statistics and a block buffer, never a whole waveform."""
+        config = base_config()
+        waveform_bytes = (config.training_symbols + 50_000) * config.samples_per_symbol * 8
+        tracemalloc.start()
+        try:
+            sweep_ber_vs_m([0.2, 0.3], [300.0, 425.0], config, MODULE, repetitions=1,
+                           payload_symbols=50_000, n_jobs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * waveform_bytes
+
 
 class TestEye:
     def noiseless_eye(self, tx_dc, mod_index, traces=32):
         config = LinkConfig(tx_dc_lux=tx_dc, mod_index=mod_index, thermal_sigma_v=0.0,
                             noise_bandwidth_hz=0.0, seed=11)
-        (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed))
+        (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed), waveform=True)
         sps = config.samples_per_symbol
         return export_eye(trace.v[config.training_symbols * sps:], sps, traces), config
 
