@@ -5,7 +5,9 @@ OE nonlinearity, is `LinkConfig.dcl_lux` and needs no code here
 (`experiments.sweep_ber_vs_dcl` sweeps it).  `post_distort` digitally
 inverts the OE curve around a known operating point, with the inverse's
 small-signal gain capped so noise in the compressed upper region is not
-amplified without bound.
+amplified without bound.  It is an elementwise inverse and an affine
+tail, each defined once here: a `PostDistortionConfig` entry of
+`link.simulate` applies them block by block and to symbol statistics.
 
 The operating point is supplied by the caller: transmitter DC, bias light
 and ambient level are all configuration, so the receiver knows the total
@@ -42,6 +44,33 @@ class PostDistortionConfig:
             raise ValueError(f"gain_cap must be a number >= 1 or math.inf, got {self.gain_cap!r}")
 
 
+def elementwise_inverse(spec: ModuleSpec, cfg: PostDistortionConfig):
+    """post_distort's elementwise part, as a function (v_ac, out) -> out.
+
+    It writes the exact inverse of v_ac + v_dc, clipped to [0, v_ceiling],
+    into `out`, which may be v_ac itself.  v_dc is the operating-point
+    voltage; the ceiling v_dc + N*n*v_t*ln(gain_cap) caps the exponential
+    inverse's local gain at gain_cap times the operating-point gain, and the
+    floor keeps the voltages in the inverse's range.
+    """
+    v_dc = module_voltage(cfg.operating_lux, spec)
+    v_ceiling = v_dc + spec.scale * np.log(cfg.gain_cap)
+
+    def invert(v_ac, out):
+        np.add(v_ac, v_dc, out=out)
+        np.clip(out, 0.0, v_ceiling, out=out)
+        return inverse_voltage_in_place(out, spec)
+
+    return invert
+
+
+def affine_tail(x, mean, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """post_distort's affine last step, in place: (x - mean) times the operating-point slope."""
+    x -= mean
+    x *= first_derivative(cfg.operating_lux, spec, "exact")
+    return x
+
+
 def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     """Invert the OE nonlinearity on an AC-coupled voltage waveform.
 
@@ -59,16 +88,6 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     rms = float(np.sqrt(np.einsum("i,i->", flat, flat) / flat.size))
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
-    v_dc = module_voltage(cfg.operating_lux, spec)
-    # Capping v at v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
-    # local gain at gain_cap times the operating-point gain.
-    v_ceiling = v_dc + spec.scale * np.log(cfg.gain_cap)
-    # every step after the first sum runs in place on one new array; the
-    # clip keeps the voltages in the inverse's range
-    out = v_ac + v_dc
-    np.clip(out, 0.0, v_ceiling, out=out)
-    inverse_voltage_in_place(out, spec)
-    out -= out.mean()
-    out *= first_derivative(cfg.operating_lux, spec, "exact")
-    return out
-
+    # every step runs in place on one new array
+    out = elementwise_inverse(spec, cfg)(v_ac, np.empty(v_ac.shape))
+    return affine_tail(out, out.mean(), spec, cfg)

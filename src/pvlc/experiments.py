@@ -6,16 +6,17 @@ isolation reproduces it bit-for-bit and parallel execution is
 indistinguishable from serial.  With n_jobs = N the cells run on the
 calling thread plus N - 1 pool threads in one process and share one
 read-only payload; their numpy and scipy work releases the interpreter
-lock.  Repeated cells are summarized by their median BER.
+lock.  Repeated cells are summarized by their median BER.  A post-distorted
+cell keeps one raw waveform, and its compensated receiver slices statistics
+taken block by block from it, never a second whole waveform.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
-from .compensation import DEFAULT_GAIN_CAP, PostDistortionConfig, post_distort
+from .compensation import DEFAULT_GAIN_CAP, PostDistortionConfig
 from .device import (
     ModuleSpec,
     PVCellParams,
@@ -127,9 +128,10 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     """Median BERs over `repetitions` seeded cells per (tx, m, dcl) point.
 
     An array of shape (points, receivers): the plain receiver, then, given a
-    `gain_cap`, the post-distorted one on the same noise realization.  Every
-    cell is built before the first one runs, so a bad point fails before any
-    work; each cell runs `simulate` on the one read-only payload.
+    `gain_cap`, the post-distorted one (a `PostDistortionConfig` entry) on
+    the same noise realization.  Every cell is built before the first one
+    runs, so a bad point fails before any work; each cell runs `simulate`
+    on the one read-only payload.
     """
     for name, count in (("repetitions", repetitions), ("payload_symbols", payload_symbols), ("n_jobs", n_jobs)):
         check_count(name, count, 1)
@@ -142,7 +144,7 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
             receivers = (None,)
             if gain_cap is not None:
                 operating = config.tx_dc_lux + config.dcl_lux + config.ambient_lux
-                receivers += (partial(post_distort, spec=spec, cfg=PostDistortionConfig(operating, gain_cap)),)
+                receivers += (PostDistortionConfig(operating, gain_cap),)
             cells.append((config, receivers))
 
     def bers_of(config, receivers):
@@ -200,9 +202,10 @@ def sweep_postdistortion(
 ):
     """Plain versus post-distorted BER on identical noise realizations.
 
-    Each (m, rep) cell builds one noisy waveform and slices it twice, once
-    as received and once post-distorted, so the two columns differ only by
-    the compensation.
+    Each (m, rep) cell builds one noisy waveform and slices it twice: as
+    received, and by post-distorted statistics sliced block by block from
+    the same waveform, with no compensated copy.  So the two columns differ
+    only by the compensation.
     """
     m_grid = _check_grid(m_grid, "m_grid")
     points = [(base_config.tx_dc_lux, m, base_config.dcl_lux) for m in m_grid]

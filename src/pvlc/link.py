@@ -20,15 +20,18 @@ pipeline up to rounding, with the same error counts.  Tests compare both.
 The waveform exists only on request (`waveform=True`) or for a
 postprocess: then it is AC-coupled in place with the same mu and made
 read-only, and one realization serves the plain receiver and any number
-of post-processed ones, which return new arrays, so a plain/compensated
-comparison sees the same noise.
+of post-processed ones, so a plain/compensated comparison sees the same
+noise.  A callable returns a new array; a `PostDistortionConfig` entry
+slices statistics taken block by block, so no compensated waveform exists.
 The decision statistic sums a symbol's central samples left to right,
 which is numpy's mean bit for bit below 8 central samples and agrees with
 it to the last bits from 8 on.  Symbol-rate integers are uint8.  Without
 the waveform a cell holds one block buffer plus float64 statistics: at
 50 000 payload symbols its tracemalloc peak is about 0.29x the waveform's
-bytes (0.43x with the low-pass), and 2.4x for a plain + post-distorted
-pair, which holds the waveform and its compensated copy.
+bytes (0.43x with the low-pass).  A plain + post-distorted pair peaks at
+1.37x (1.39x with the low-pass) with a `PostDistortionConfig` entry,
+which holds the waveform and one scratch block, and at 2.36x with a
+callable `post_distort`, which holds the waveform and its compensated copy.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
+from .compensation import PostDistortionConfig, affine_tail, elementwise_inverse
 from .device import ModuleSpec, Q_E, check_count, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
@@ -226,8 +230,8 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
 def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
     """AC-coupled symbol statistics of these levels' received NRZ waveform, and the waveform on request.
 
-    Returns (statistics, flat read-only AC-coupled waveform or None).  The
-    waveform, `receive`'s bit for bit, is built from a level table in blocks of BLOCK_SYMBOLS
+    Returns (statistics, read-only AC-coupled (symbols, sps) waveform or
+    None).  The waveform, `receive`'s bit for bit, is built from a level table in blocks of BLOCK_SYMBOLS
     symbols, so no whole-cell table of per-symbol voltages or sigmas
     exists.  Each block lands in one reused buffer, or with `waveform` in
     its rows of the whole (symbols, sps) array; either way its statistics
@@ -271,7 +275,28 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform
         return stats, None
     out -= mu   # ac_couple, in place
     out.flags.writeable = False
-    return stats, out.ravel()
+    return stats, out
+
+
+def _post_distorted_statistics(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """Symbol statistics of `post_distort(v_ac, spec, cfg)` for a (symbols, sps) waveform, with no copy of it.
+
+    Each block goes through the elementwise inverse into one scratch block,
+    whose statistics go to their slice and whose sum to a running total;
+    the affine tail then acts on the statistics, with the total over the
+    sample count as the mean.  Tests compare it with `post_distort`.
+    """
+    symbols, sps = v_ac.shape
+    invert = elementwise_inverse(spec, cfg)
+    stats = np.empty(symbols)
+    scratch = np.empty((min(symbols, BLOCK_SYMBOLS), sps))
+    total = 0.0
+    for start in range(0, symbols, BLOCK_SYMBOLS):
+        rows = v_ac[start:start + BLOCK_SYMBOLS]
+        block = invert(rows, scratch[: len(rows)])
+        symbol_statistics(block, sps, out=stats[start:start + BLOCK_SYMBOLS])
+        total += block.sum()
+    return affine_tail(stats, total / v_ac.size, spec, cfg)
 
 
 def ac_couple(v):
@@ -371,8 +396,9 @@ class LinkTrace:
     """What one receiver of `simulate` saw and decided.
 
     v is the flat waveform its slicer read, training symbols first: the
-    AC-coupled received voltage, or what a postprocess made of it.  It is
-    None for the plain receiver when `simulate` built no waveform.
+    AC-coupled received voltage, or what a callable postprocess made of it.
+    It is None for a `PostDistortionConfig` entry, and for the plain
+    receiver when `simulate` kept no waveform.
     """
 
     v: np.ndarray | None
@@ -387,28 +413,36 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     """Run the link once and slice it with one receiver per entry of `postprocesses`.
 
     Returns one LinkTrace per entry, all from one noise realization.  An
-    entry of None is the plain receiver; any other entry is applied to the
-    AC-coupled waveform before its slicer.  The waveform is built only
-    when an entry is not None or `waveform` is true; it is read-only, so a
-    postprocess returns a new array.  Deterministic for a fixed config
-    (the RNG derives from config.seed).  Errors are counted per symbol: a
-    decision costs as many bits as its Gray code differs from the sent
-    dibit in.
+    entry of None is the plain receiver; a `PostDistortionConfig` entry
+    slices post-distorted statistics; a callable entry is applied to the
+    read-only AC-coupled waveform, so it returns a new array.  Any other
+    entry is a TypeError before any work.  The waveform is returned only
+    when an entry is callable or `waveform` is true.  Deterministic for a
+    fixed config (the RNG derives from config.seed).  Errors are counted
+    per symbol: a decision costs as many bits as its Gray code differs
+    from the sent dibit in.
     """
+    for entry in postprocesses:
+        if not (entry is None or isinstance(entry, PostDistortionConfig) or callable(entry)):
+            raise TypeError("a postprocesses entry must be None, a PostDistortionConfig or a callable, "
+                            f"got {entry!r}")
     payload_bits = _check_bits(payload_bits)
     if payload_bits.size == 0:
         raise ValueError("payload must contain at least one bit pair")
     sent = _dibits(payload_bits)
     train = training_sequence(config)
     levels = np.concatenate([train, _gray(sent)])
-    waveform = waveform or any(postprocess is not None for postprocess in postprocesses)
-    plain, v = _received(levels, spec, config, np.random.default_rng(config.seed), waveform)
+    rng = np.random.default_rng(config.seed)
+    plain, v = _received(levels, spec, config, rng, waveform or any(entry is not None for entry in postprocesses))
+    flat = v.ravel() if waveform or any(map(callable, postprocesses)) else None
     traces = []
     for postprocess in postprocesses:
         if postprocess is None:
-            out, stats = v, plain
+            out, stats = flat, plain
+        elif isinstance(postprocess, PostDistortionConfig):
+            out, stats = None, _post_distorted_statistics(v, spec, postprocess)
         else:
-            out = postprocess(v)
+            out = postprocess(flat)
             stats = symbol_statistics(out, config.samples_per_symbol)
         centroids, thresholds, detected = _slice(stats, train)
         wrong = _gray(detected) ^ sent   # the bits each decision got wrong
@@ -421,8 +455,7 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
 def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=None):
     """BerReport of one link run (`simulate` with a single receiver).
 
-    `postprocess`, when given, is applied to the AC-coupled voltage
-    waveform before detection (used for receiver-side compensation).  The
-    waveform is read-only, so it returns a new array.
+    `postprocess`, when given, is a `simulate` entry: a `PostDistortionConfig`
+    or a callable that returns a new array from the read-only AC-coupled waveform.
     """
     return simulate(config, spec, payload_bits, (postprocess,))[0].report

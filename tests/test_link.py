@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -9,6 +10,7 @@ from scipy import stats as sp_stats
 
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
+from pvlc import link
 from pvlc.link import (
     _dibits,
     _single_pole_lowpass,
@@ -587,6 +589,59 @@ class TestWaveformKeyword:
             run_link(config, MODULE, payload_bits(2 * BLOCK_SYMBOLS, 1))
 
 
+class TestPostDistortionEntry:
+    """A PostDistortionConfig entry slices statistics taken block by block, as the callable post_distort decides."""
+
+    @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
+    @pytest.mark.parametrize("lpf", [None, 5e5], ids=["lpf-as-listed", "lpf-5e5"])
+    @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
+    def test_equals_callable_post_distort(self, overrides, lpf, gain_cap):
+        """Over two full blocks and a partial one; the statistics agree to 1e-12 of their largest magnitude.
+
+        At mod_index 1 the gain cap clips levels 2 and 3 to one value, so
+        their trained centroids coincide and the last bit of each path's
+        rounding picks between them; there only the decided centroid values
+        must agree.
+        """
+        overrides = {**overrides, "lpf_cutoff_hz": lpf} if lpf else overrides
+        config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 33, **overrides})
+        payload = payload_bits(2 * (2 * BLOCK_SYMBOLS + 1000), 12)
+        cfg = PostDistortionConfig(config.tx_dc_lux + config.dcl_lux + config.ambient_lux, gain_cap)
+        (alone,) = simulate(config, MODULE, payload)
+        _, called = simulate(config, MODULE, payload, (None, lambda v: post_distort(v, MODULE, cfg)))
+        plain, entry = simulate(config, MODULE, payload, (None, cfg))
+        tolerance = 1e-12 * np.abs(called.stats).max()
+        assert entry.v is None
+        assert np.abs(entry.stats - called.stats).max() <= tolerance
+        if np.unique(called.centroids).size == 4:
+            assert entry.report == called.report
+            assert np.array_equal(entry.detected, called.detected)
+        else:
+            decided = entry.centroids[entry.detected] - called.centroids[called.detected]
+            assert np.abs(decided).max() <= tolerance
+        assert plain.v is None
+        for field in ("stats", "centroids", "thresholds", "detected"):
+            assert np.array_equal(getattr(plain, field), getattr(alone, field)), field
+        assert plain.report == alone.report
+
+    def test_run_link_takes_the_entry(self):
+        config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=5e5, seed=43)
+        payload = payload_bits(40_000, 13)
+        cfg = PostDistortionConfig(operating_lux=350.0)
+        report = run_link(config, MODULE, payload, postprocess=cfg)
+        assert report.bits_errored > 0
+        assert report == run_link(config, MODULE, payload, postprocess=lambda v: post_distort(v, MODULE, cfg))
+
+    @pytest.mark.parametrize("entry", [3, "post_distort", (None,), PARAMS])
+    def test_bad_entry_rejected_before_any_work(self, entry, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the waveform was built")
+
+        monkeypatch.setattr(link, "_received", no_work)
+        with pytest.raises(TypeError, match=re.escape(f"got {entry!r}")):
+            simulate(LinkConfig(), MODULE, payload_bits(20, 1), (None, entry))
+
+
 class TestSharedRealization:
     """simulate slices one waveform for the plain and the post-processed receivers."""
 
@@ -633,21 +688,24 @@ class TestSymbolMemory:
         assert np.array_equal(_dibits(b), dibits)
         assert np.array_equal(bits_to_levels(b.astype(dtype)), np.array([0, 1, 3, 2])[dibits])
 
-    @pytest.mark.parametrize("receivers,lpf,budget", [(1, None, 0.35), (2, None, 2.5), (1, 5e5, 0.5)],
-                             ids=["plain", "plain+post", "plain-lpf"])
-    def test_peak_memory_within_budget(self, receivers, lpf, budget):
+    @pytest.mark.parametrize("second,lpf,budget", [
+        (None, None, 0.35), ("callable", None, 2.5), (None, 5e5, 0.5), ("config", None, 1.5), ("config", 5e5, 1.5),
+    ], ids=["plain", "plain+post", "plain-lpf", "plain+postcfg", "plain+postcfg-lpf"])
+    def test_peak_memory_within_budget(self, second, lpf, budget):
         """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes.
 
         A plain cell builds no waveform (measured 0.29x, 0.43x with the
-        low-pass); a post-distorted pair holds it and its compensated copy (2.36x).
+        low-pass).  A pair with a PostDistortionConfig entry holds the
+        waveform and one scratch block (1.37x, 1.39x with the low-pass); with
+        a callable post_distort, the waveform and its compensated copy (2.36x).
         """
         config = LinkConfig(seed=3, lpf_cutoff_hz=lpf)
         payload = payload_bits(100_000, 3)   # built before tracing: the sweeps share it
         cfg = PostDistortionConfig(operating_lux=config.tx_dc_lux, gain_cap=4.0)
-        post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+        receivers = {None: (None,), "config": (None, cfg), "callable": (None, lambda v: post_distort(v, MODULE, cfg))}
         tracemalloc.start()
         try:
-            simulate(config, MODULE, payload, (None, post)[:receivers])
+            simulate(config, MODULE, payload, receivers[second])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
