@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sp_stats
 
+from pvlc import link
 from pvlc.compensation import PostDistortionConfig, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, module_voltage
-from pvlc import link
 from pvlc.link import (
     _dibits,
     _single_pole_lowpass,
