@@ -5,8 +5,8 @@ OE nonlinearity, is `LinkConfig.dcl_lux` and needs no code here
 (`experiments.sweep_ber_vs_dcl` sweeps it).  `post_distort` digitally
 inverts the OE curve around a known operating point, with the inverse's
 small-signal gain capped so noise in the compressed upper region is not
-amplified without bound.  It is an elementwise inverse and an affine
-tail, each defined once here: a `PostDistortionConfig` entry of
+amplified without bound.  It is an elementwise inverse (`invert_clipped`)
+and an affine tail (`affine_tail`), each defined once here: a `PostDistortionConfig` entry of
 `link.simulate` applies them block by block and to symbol statistics.
 
 The operating point is supplied by the caller: transmitter DC, bias light
@@ -44,24 +44,18 @@ class PostDistortionConfig:
             raise ValueError(f"gain_cap must be a number >= 1 or math.inf, got {self.gain_cap!r}")
 
 
-def elementwise_inverse(spec: ModuleSpec, cfg: PostDistortionConfig):
-    """post_distort's elementwise part, as a function (v_ac, out) -> out.
+def invert_clipped(v_ac, out, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """post_distort's elementwise part: the exact inverse of v_ac + v_dc, clipped to [0, v_ceiling], into `out`.
 
-    It writes the exact inverse of v_ac + v_dc, clipped to [0, v_ceiling],
-    into `out`, which may be v_ac itself.  v_dc is the operating-point
-    voltage; the ceiling v_dc + N*n*v_t*ln(gain_cap) caps the exponential
-    inverse's local gain at gain_cap times the operating-point gain, and the
-    floor keeps the voltages in the inverse's range.
+    `out` may be v_ac itself.  v_dc is the operating-point voltage; the
+    ceiling v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
+    local gain at gain_cap times the operating-point gain, and the floor
+    keeps the voltages in the inverse's range.
     """
     v_dc = module_voltage(cfg.operating_lux, spec)
-    v_ceiling = v_dc + spec.scale * np.log(cfg.gain_cap)
-
-    def invert(v_ac, out):
-        np.add(v_ac, v_dc, out=out)
-        np.clip(out, 0.0, v_ceiling, out=out)
-        return inverse_voltage_in_place(out, spec)
-
-    return invert
+    np.add(v_ac, v_dc, out=out)
+    np.clip(out, 0.0, v_dc + spec.scale * np.log(cfg.gain_cap), out=out)
+    return inverse_voltage_in_place(out, spec)
 
 
 def affine_tail(x, mean, spec: ModuleSpec, cfg: PostDistortionConfig):
@@ -89,5 +83,5 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
     # every step runs in place on one new array
-    out = elementwise_inverse(spec, cfg)(v_ac, np.empty(v_ac.shape))
+    out = invert_clipped(v_ac, np.empty(v_ac.shape), spec, cfg)
     return affine_tail(out, out.mean(), spec, cfg)

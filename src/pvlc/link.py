@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from .compensation import PostDistortionConfig, affine_tail, elementwise_inverse
+from .compensation import PostDistortionConfig, affine_tail, invert_clipped
 from .device import ModuleSpec, Q_E, check_count, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
@@ -53,6 +53,7 @@ BIT_RATE = 1e6   # the paper's 1 Mbit/s; 2 bits per PAM4 symbol
 
 LEVELS = (2.0 * np.arange(4) - 3.0) / 3.0   # -1, -1/3, +1/3, +1
 BLOCK_SYMBOLS = 4096   # symbols per block of the level-table receiver: 256 KiB of float64 at 8 sps
+TIED_CENTROID_ULPS = 16   # centroids this many ulps of the largest centroid magnitude apart are one level
 
 
 class DetectionError(RuntimeError):
@@ -227,34 +228,41 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
-def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
-    """AC-coupled symbol statistics of these levels' received NRZ waveform, and the waveform on request.
+def _statistics_and_sum(blocks, symbols, sps):
+    """Symbol statistics of consecutive (rows, sps) blocks, each written into its slice, and their samples' sum.
 
-    Returns (statistics, read-only AC-coupled (symbols, sps) waveform or
-    None).  The waveform, `receive`'s bit for bit, is built from a level table in blocks of BLOCK_SYMBOLS
-    symbols, so no whole-cell table of per-symbol voltages or sigmas
-    exists.  Each block lands in one reused buffer, or with `waveform` in
-    its rows of the whole (symbols, sps) array; either way its statistics
-    go to their slice and its `block.sum()` to a running total, whose mean
-    mu both then subtract.  The low-pass filters each block's voltage,
-    carrying its state from block to block.
+    The sum adds each block's `block.sum()` in order.  A block is reduced
+    before the next is drawn from `blocks`, so they may share one buffer.
+    """
+    stats = np.empty(symbols)
+    total = 0.0
+    start = 0
+    for block in blocks:
+        symbol_statistics(block, sps, out=stats[start:start + len(block)])
+        total += block.sum()
+        start += len(block)
+    return stats, total
+
+
+def _noisy_blocks(level_indices, out, spec: ModuleSpec, config: LinkConfig, rng):
+    """Build these levels' received NRZ waveform in `out` block by block, yielding each block.
+
+    `out` holds the whole (symbols, sps) waveform or one block, which every
+    block then reuses.  The waveform, `receive`'s bit for bit, comes from a
+    level table, so no whole-cell table of per-symbol voltages or sigmas
+    exists.  The low-pass filters each block's voltage, carrying its state
+    from block to block.
     """
     sps = config.samples_per_symbol
-    rows = level_indices.size if waveform else min(level_indices.size, BLOCK_SYMBOLS)
-    if rows * sps * 8 > np.iinfo(np.intp).max:   # numpy's limit on an array's bytes
-        raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
-                         "array exceeds numpy's maximum array size")
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
+    whole = len(out) == level_indices.size
     lpf_state = None
-    stats = np.empty(level_indices.size)
-    out = np.empty((rows, sps))
-    total = 0.0
     for start in range(0, level_indices.size, BLOCK_SYMBOLS):
-        stop = start + BLOCK_SYMBOLS
-        idx = level_indices[start:stop].astype(np.intp)   # numpy gathers by intp at twice its uint8 speed
-        block = out[start:stop] if waveform else out[: idx.size]
+        # numpy gathers by intp at twice its uint8 speed
+        idx = level_indices[start:start + BLOCK_SYMBOLS].astype(np.intp)
+        block = out[start:start + BLOCK_SYMBOLS] if whole else out[: idx.size]
         v = v_level[idx][:, None]
         if config.lpf_cutoff_hz is not None:
             v, lpf_state = _single_pole_lowpass(np.repeat(v_level[idx], sps), config.lpf_cutoff_hz,
@@ -266,8 +274,26 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform
         rng.standard_normal(out=block)
         block *= sigma_level[idx][:, None]
         block += v
-        symbol_statistics(block, sps, out=stats[start:stop])
-        total += block.sum()
+        yield block
+
+
+def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
+    """AC-coupled symbol statistics of these levels' received NRZ waveform, and the waveform on request.
+
+    Returns (statistics, read-only AC-coupled (symbols, sps) waveform or
+    None).  The blocks of `_noisy_blocks` land in one reused buffer, or
+    with `waveform` in their rows of the whole array; either way they are
+    reduced as they are built, and the mean mu of their running sum is
+    subtracted from the statistics and from the waveform.
+    """
+    sps = config.samples_per_symbol
+    rows = level_indices.size if waveform else min(level_indices.size, BLOCK_SYMBOLS)
+    if rows * sps * 8 > np.iinfo(np.intp).max:   # numpy's limit on an array's bytes
+        raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
+                         "array exceeds numpy's maximum array size")
+    out = np.empty((rows, sps))
+    blocks = _noisy_blocks(level_indices, out, spec, config, rng)
+    stats, total = _statistics_and_sum(blocks, level_indices.size, sps)
     mu = total / (level_indices.size * sps)
     stats -= mu
     stats.flags.writeable = False   # every plain receiver of the cell shares it
@@ -281,21 +307,16 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform
 def _post_distorted_statistics(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     """Symbol statistics of `post_distort(v_ac, spec, cfg)` for a (symbols, sps) waveform, with no copy of it.
 
-    Each block goes through the elementwise inverse into one scratch block,
-    whose statistics go to their slice and whose sum to a running total;
-    the affine tail then acts on the statistics, with the total over the
-    sample count as the mean.  Tests compare it with `post_distort`.
+    Each block goes through the clipped inverse into one scratch block,
+    which is reduced to its statistics and sum; the affine tail then acts
+    on the statistics, with the sum over the sample count as the mean.
+    Tests compare it with `post_distort`.
     """
     symbols, sps = v_ac.shape
-    invert = elementwise_inverse(spec, cfg)
-    stats = np.empty(symbols)
     scratch = np.empty((min(symbols, BLOCK_SYMBOLS), sps))
-    total = 0.0
-    for start in range(0, symbols, BLOCK_SYMBOLS):
-        rows = v_ac[start:start + BLOCK_SYMBOLS]
-        block = invert(rows, scratch[: len(rows)])
-        symbol_statistics(block, sps, out=stats[start:start + BLOCK_SYMBOLS])
-        total += block.sum()
+    blocks = (invert_clipped(rows, scratch[: len(rows)], spec, cfg)
+              for rows in (v_ac[start:start + BLOCK_SYMBOLS] for start in range(0, symbols, BLOCK_SYMBOLS)))
+    stats, total = _statistics_and_sum(blocks, symbols, sps)
     return affine_tail(stats, total / v_ac.size, spec, cfg)
 
 
@@ -358,6 +379,13 @@ def _slice(stats, training_levels):
     Returns (centroids, thresholds, payload level indices).  Each symbol
     goes to its nearest centroid: the count of thresholds below it indexes
     the levels in ascending centroid order (a tie goes to the lower one).
+    Ascending centroids at most TIED_CENTROID_ULPS ulps of the largest
+    centroid magnitude apart are one group: a gain-capped post-distortion
+    clips neighbouring levels to one value, and the last bits of rounding
+    would pick between them (two ways of computing the same post-distorted
+    statistics put such centroids up to 4 ulps apart).  Every symbol of a
+    group goes to its lowest level index, so the decision does not depend
+    on rounding.
     """
     n_train = len(training_levels)
     if stats.size < n_train:
@@ -368,10 +396,14 @@ def _slice(stats, training_levels):
     counts = (payload > thresholds[0]).astype(np.uint8)
     counts += payload > thresholds[1]
     counts += payload > thresholds[2]
-    # the levels by ascending centroid, two bits each in one byte: shifting it right by
-    # 2 * counts gathers order[counts] faster, and with no intp copy of the index
     order = np.argsort(centroids, kind="stable")
-    packed = np.uint8(sum(int(level) << 2 * rank for rank, level in enumerate(order)))
+    ascending = centroids[order]
+    tied = np.diff(ascending) <= TIED_CENTROID_ULPS * np.spacing(np.abs(ascending).max())
+    group = np.concatenate(([0], np.cumsum(~tied)))
+    decided = [order[group == g].min() for g in group]
+    # the decided level of each rank, two bits each in one byte: shifting it right by
+    # 2 * counts gathers decided[counts] faster, and with no intp copy of the index
+    packed = np.uint8(sum(int(level) << 2 * rank for rank, level in enumerate(decided)))
     return centroids, thresholds, (packed >> (counts << 1)) & 3
 
 

@@ -180,6 +180,22 @@ class TestBerSweeps:
         assert rows == expected
         assert all(plain > 0 and compensated > 0 for _, plain, compensated in rows)
 
+    def test_postdist_sweep_at_gain_capped_tie(self):
+        """At mod_index 1 the gain cap clips levels 2 and 3 to one value; the sweep's compensated
+        BER is still the callable post_distort's, because tied centroids decide alike."""
+        config = base_config(seed=2036, tx_dc_lux=200.0, lpf_cutoff_hz=5e5)
+        ((m, _, compensated),) = sweep_postdistortion([1.0], config, MODULE, gain_cap=4.0, **FAST)
+        payload = payload_bits(2 * FAST["payload_symbols"], config.seed)
+        cfg = PostDistortionConfig(operating_lux=200.0, gain_cap=4.0)
+        bers, tied = [], 0
+        for rep in range(FAST["repetitions"]):
+            point = ber_point_config(config, 200.0, 1.0, config.dcl_lux, rep)
+            trace = simulate(point, MODULE, payload, (lambda v: post_distort(v, MODULE, cfg),))[0]
+            tied += np.unique(trace.centroids).size < 4
+            bers.append(trace.report.ber)
+        assert tied
+        assert (m, compensated) == (1.0, float(np.median(bers)))
+
     def test_cells_share_one_read_only_payload(self, monkeypatch):
         seen = []
 

@@ -19,6 +19,7 @@ from pvlc.link import (
     BLOCK_SYMBOLS,
     FEC_BER_THRESHOLD,
     LEVELS,
+    TIED_CENTROID_ULPS,
     BerReport,
     DetectionError,
     LinkConfig,
@@ -547,6 +548,29 @@ class TestLevelTable:
         assert np.array_equal(trace.detected, _slice(stats, train)[2])
 
 
+class TestTiedCentroids:
+    """Centroids equal up to rounding are one level, so which way the rounding falls decides nothing."""
+
+    @pytest.mark.parametrize("upper", [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+    def test_tied_levels_decide_the_lower_index(self, upper):
+        train = training_sequence(LinkConfig())
+        stats = np.array([-1.0, 0.0, 1.0, upper])[train]
+        payload = np.array([-1.0, 0.0, 0.6, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.5])
+        _, _, detected = _slice(np.concatenate([stats, payload]), train)
+        assert detected.tolist() == [0, 1, 2, 2, 2, 2, 2]
+
+    def test_all_tied_decide_level_0(self):
+        train = training_sequence(LinkConfig())
+        _, _, detected = _slice(np.full(train.size + 3, 0.25), train)
+        assert detected.tolist() == [0, 0, 0]
+
+    def test_distinct_levels_unaffected(self):
+        train = training_sequence(LinkConfig())
+        stats = np.array([-1.0, 1.0, 0.0, 1.0 + 1e-6])[train]
+        payload = np.array([-0.9, 0.1, 0.9, 1.1])
+        assert _slice(np.concatenate([stats, payload]), train)[2].tolist() == [0, 2, 1, 3]
+
+
 class TestWaveformKeyword:
     """The plain receiver builds the waveform only on request, and decides the same either way."""
 
@@ -598,10 +622,9 @@ class TestPostDistortionEntry:
     def test_equals_callable_post_distort(self, overrides, lpf, gain_cap):
         """Over two full blocks and a partial one; the statistics agree to 1e-12 of their largest magnitude.
 
-        At mod_index 1 the gain cap clips levels 2 and 3 to one value, so
-        their trained centroids coincide and the last bit of each path's
-        rounding picks between them; there only the decided centroid values
-        must agree.
+        At mod_index 1 the gain cap clips levels 1 to 3 (2 and 3 with the
+        low-pass) to one value, so their trained centroids coincide up to
+        each path's rounding; the slicer decides tied centroids alike.
         """
         overrides = {**overrides, "lpf_cutoff_hz": lpf} if lpf else overrides
         config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 33, **overrides})
@@ -613,12 +636,8 @@ class TestPostDistortionEntry:
         tolerance = 1e-12 * np.abs(called.stats).max()
         assert entry.v is None
         assert np.abs(entry.stats - called.stats).max() <= tolerance
-        if np.unique(called.centroids).size == 4:
-            assert entry.report == called.report
-            assert np.array_equal(entry.detected, called.detected)
-        else:
-            decided = entry.centroids[entry.detected] - called.centroids[called.detected]
-            assert np.abs(decided).max() <= tolerance
+        assert entry.report == called.report
+        assert np.array_equal(entry.detected, called.detected)
         assert plain.v is None
         for field in ("stats", "centroids", "thresholds", "detected"):
             assert np.array_equal(getattr(plain, field), getattr(alone, field)), field
@@ -742,10 +761,13 @@ class TestSlicerProperties:
     @settings(deadline=None)
     @given(CENTROIDS, PAYLOAD)
     def test_sorted_centroids_match_binary_search(self, centroids, payload):
+        """Ascending centroids: the rank found by binary search, or the lowest rank it is tied with."""
         centroids = np.sort(centroids)
         _, thresholds, detected = _slice(np.concatenate([centroids, payload]), np.arange(4))
         assert np.array_equal(thresholds, 0.5 * (centroids[:-1] + centroids[1:]))
-        assert np.array_equal(detected, np.searchsorted(thresholds, payload))
+        tied = np.diff(centroids) <= TIED_CENTROID_ULPS * np.spacing(np.abs(centroids).max())
+        lowest = np.maximum.accumulate(np.where(np.concatenate(([True], ~tied)), np.arange(4), 0))
+        assert np.array_equal(detected, lowest[np.searchsorted(thresholds, payload)])
 
     @settings(deadline=None)
     @given(st.lists(STATISTIC, min_size=64, max_size=64), PAYLOAD, st.integers(-20, 20))

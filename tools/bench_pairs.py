@@ -6,31 +6,35 @@ in another directory:
     python3 tools/bench_pairs.py --topic postdist_stats --parent ../parent \\
         --workload postdist_lpf --seeds 201-206
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-in the parent checkout and in the change checkout (default: this one), one
-after the other, with the same seed.  Which side runs first alternates from
-pair to pair, so a drift of a shared host falls on both sides alike.  Every
-run must be `correct` with no failed ops, or the script stops.
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`,
+T being the run_seconds of BENCHMARK.json, in the parent checkout and in the
+change checkout (default: this one), one after the other, with the same seed.
+Which side runs first alternates from pair to pair, so a drift of a shared
+host falls on both sides alike.  Every run must be `correct` with no failed
+ops, or the script stops.
 
 `BENCH_<topic>.json` gets one entry per workload: the seeds, both sides'
 metrics of every pair, and for each end-to-end metric of BENCHMARK.json the
-median and quartiles (statistics.quantiles, n=4) of each side, the parent's
-interquartile range and the number of pairs the change won by the metric's
-`better` direction.  The file also records the machine: nproc and the
-Python, numpy and scipy versions.  A call for another workload adds it to the
-same file.  A call for a workload already there, on the same two revisions,
-adds its pairs to the stored ones (a seed run again replaces its pair).
+median and quartiles of each side (`summarise` of perfbench/baseline.py),
+the parent's interquartile range and the number of pairs the change won by
+the metric's `better` direction.  The file also records the machine: nproc
+and the Python, numpy and scipy versions.  A call for another workload adds
+it to the same file.  A call for a workload already there, on the same two
+revisions, adds its pairs to the stored ones (a seed run again replaces its
+pair).
 """
 
 import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from baseline import seed_range, summarise as quartiles  # noqa: E402
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -44,16 +48,6 @@ def run_once(checkout, workload, seed, seconds):
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: {result['failed']} failed ops")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
-
-
-def seed_range(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def quartiles(values):
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def revision(checkout):
@@ -82,12 +76,11 @@ def main(argv=None):
     parser.add_argument("--change", default=".", help="checkout of the change (default: .)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="inclusive range, one pair per seed, e.g. 201-206")
-    parser.add_argument("--seconds", type=float, help="timed section (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--out-dir", default=".", help="directory of the BENCH file (default: .)")
     args = parser.parse_args(argv)
 
     bench = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for k, seed in enumerate(seed_range(args.seeds)):
