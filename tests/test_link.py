@@ -559,17 +559,6 @@ class TestTiedCentroids:
         _, _, detected = _slice(np.concatenate([stats, payload]), train)
         assert detected.tolist() == [0, 1, 2, 2, 2, 2, 2]
 
-    def test_all_tied_decide_level_0(self):
-        train = training_sequence(LinkConfig())
-        _, _, detected = _slice(np.full(train.size + 3, 0.25), train)
-        assert detected.tolist() == [0, 0, 0]
-
-    def test_distinct_levels_unaffected(self):
-        train = training_sequence(LinkConfig())
-        stats = np.array([-1.0, 1.0, 0.0, 1.0 + 1e-6])[train]
-        payload = np.array([-0.9, 0.1, 0.9, 1.1])
-        assert _slice(np.concatenate([stats, payload]), train)[2].tolist() == [0, 2, 1, 3]
-
 
 class TestWaveformKeyword:
     """The plain receiver builds the waveform only on request, and decides the same either way."""
