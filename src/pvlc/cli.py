@@ -6,6 +6,8 @@ file (--config); an explicit flag wins over the file.  Randomized commands
 never seed from the clock: a seed must come from --seed or the config file.
 `pvlc fit` and `pvlc sweep` write run_manifest.json beside their outputs: the
 positionals, the resolved value of each option read and the LinkConfig used.
+`pvlc simulate` prints its BER report with the payload_symbols and the
+LinkConfig it ran.
 
 Exit codes: 0 success, 1 computation-level failure (non-convergence,
 unidentifiable data), 2 usage or validation error, or arrays too large for memory.
@@ -229,7 +231,7 @@ def _cmd_simulate(merged, options):
     spec = load_model_card(_require_file(merged["model"], "model card"))
     config = _link_config(merged, "simulate")
     report = run_link(config, spec, payload_bits(2 * options["payload_symbols"], config.seed))
-    print(json.dumps(asdict(report)))
+    print(json.dumps(asdict(report) | {"payload_symbols": options["payload_symbols"], "link": asdict(config)}))
     return 0
 
 

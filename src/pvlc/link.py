@@ -23,15 +23,21 @@ read-only, and one realization serves the plain receiver and any number
 of post-processed ones, so a plain/compensated comparison sees the same
 noise.  A callable returns a new array; a `PostDistortionConfig` entry
 slices statistics taken block by block, so no compensated waveform exists.
+The optional single-pole low-pass takes rectangular NRZ input and runs at
+the symbol rate: one `lfilter` over each block's symbol voltages gives the
+filter's state at every symbol boundary, and each sample follows from it in
+closed form (`_single_pole_lowpass`), so `receive` and the level table
+filter alike and no sample-rate voltage array exists.
 The decision statistic sums a symbol's central samples left to right,
 which is numpy's mean bit for bit below 8 central samples and agrees with
 it to the last bits from 8 on.  Symbol-rate integers are uint8.  Without
 the waveform a cell holds one block buffer plus float64 statistics: at
 50 000 payload symbols its tracemalloc peak is about 0.29x the waveform's
-bytes (0.43x with the low-pass).  A plain + post-distorted pair peaks at
-1.37x (1.39x with the low-pass) with a `PostDistortionConfig` entry,
-which holds the waveform and one scratch block, and at 2.36x with a
-callable `post_distort`, which holds the waveform and its compensated copy.
+bytes (0.39x with the low-pass, which adds one block of filtered
+samples).  A plain + post-distorted pair peaks at 1.37x (1.39x with the
+low-pass) with a `PostDistortionConfig` entry, which holds the waveform
+and one scratch block, and at 2.36x with a callable `post_distort`, which
+holds the waveform and its compensated copy.
 
 The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
 are calibrated rather than measured: the effective noise bandwidth absorbs
@@ -199,15 +205,30 @@ def shot_noise_sigma(lux, spec: ModuleSpec, config: LinkConfig):
     return current_rms * slope
 
 
-def _single_pole_lowpass(v, cutoff_hz, sample_rate, state=None):
-    """The low-passed v and the filter's final state, which continues it bit for bit in a next call.
+def _single_pole_lowpass(x, sps, cutoff_hz, sample_rate, state=None, out=None):
+    """The low-passed samples of the rectangular NRZ waveform with symbol voltages x, and the filter's final state.
 
-    Without a `state` the filter starts at rest at v[0].
+    The filter is y[n] = beta*y[n-1] + (1-beta)*v[n] at the sample rate,
+    with beta = exp(-2*pi*cutoff_hz/sample_rate).  All sps samples of symbol
+    j equal x[j], so the states s[j] at the symbol boundaries follow
+    s[j+1] = gamma*s[j] + (1-gamma)*x[j], with gamma = beta**sps (one
+    `lfilter` at the symbol rate), and sample k of symbol j is
+    x[j] + (s[j] - x[j])*beta**(k+1).  Returns the (symbols, sps) samples,
+    written into `out` when given, and the last state, which continues the
+    filter bit for bit in a next call.  Without a `state` the filter starts
+    at rest at x[0].
     """
-    alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / sample_rate)
-    if state is None:
-        state = np.array([(1.0 - alpha) * v[0]])
-    return sp_signal.lfilter([alpha], [1.0, alpha - 1.0], v, zi=state)
+    powers = math.exp(-2.0 * math.pi * cutoff_hz / sample_rate) ** np.arange(1, sps + 1)
+    gamma = powers[-1]
+    state = x[0] if state is None else state
+    ends, _ = sp_signal.lfilter([1.0 - gamma], [1.0, -gamma], x, zi=[gamma * state])
+    starts = np.concatenate(([state], ends[:-1]))
+    starts -= x
+    # sample k of every symbol at once: numpy's inner loop runs over the symbols,
+    # which is fastest when `out` is the transpose of a C-ordered (sps, symbols) array
+    columns = np.multiply(powers[:, None], starts, out=None if out is None else out.T)
+    columns += x
+    return columns.T, ends[-1]
 
 
 def _voltage_and_variance(l_rx, spec: ModuleSpec, config: LinkConfig):
@@ -219,12 +240,22 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     """Samplewise OE conversion plus noise.
 
     The optional single-pole low-pass models the module bandwidth and is
-    applied to the noiseless voltage; noise is added after it.
+    applied to the noiseless voltage; noise is added after it.  The filter
+    takes rectangular NRZ input: with it on, l_rx must hold whole symbols of
+    samples_per_symbol equal samples, at least one.  It runs in the
+    symbol-rate form of `_single_pole_lowpass`, as `simulate` runs it, so
+    both build the same waveform bit for bit.
     """
     l_rx = np.asarray(l_rx, dtype=float)
     v, variance = _voltage_and_variance(l_rx, spec, config)
     if config.lpf_cutoff_hz is not None:
-        v, _ = _single_pole_lowpass(v, config.lpf_cutoff_hz, config.sample_rate)
+        sps = config.samples_per_symbol
+        if l_rx.size == 0:
+            raise ValueError("the low-pass needs at least one symbol, got an empty waveform")
+        if l_rx.size % sps or not (l_rx.reshape(-1, sps) == l_rx[::sps, None]).all():
+            raise ValueError(f"the low-pass takes rectangular NRZ input: {l_rx.size} samples are not "
+                             f"whole symbols of samples_per_symbol = {sps} equal samples")
+        v = _single_pole_lowpass(v[::sps], sps, config.lpf_cutoff_hz, config.sample_rate)[0].ravel()
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
@@ -250,24 +281,26 @@ def _noisy_blocks(level_indices, out, spec: ModuleSpec, config: LinkConfig, rng)
     `out` holds the whole (symbols, sps) waveform or one block, which every
     block then reuses.  The waveform, `receive`'s bit for bit, comes from a
     level table, so no whole-cell table of per-symbol voltages or sigmas
-    exists.  The low-pass filters each block's voltage, carrying its state
-    from block to block.
+    exists.  The low-pass filters each block's symbol voltages into one
+    reused block of samples, carrying its state from block to block.
     """
     sps = config.samples_per_symbol
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
     whole = len(out) == level_indices.size
+    lowpassed = None if config.lpf_cutoff_hz is None else np.empty((sps, min(level_indices.size, BLOCK_SYMBOLS))).T
     lpf_state = None
     for start in range(0, level_indices.size, BLOCK_SYMBOLS):
         # numpy gathers by intp at twice its uint8 speed
         idx = level_indices[start:start + BLOCK_SYMBOLS].astype(np.intp)
         block = out[start:start + BLOCK_SYMBOLS] if whole else out[: idx.size]
-        v = v_level[idx][:, None]
-        if config.lpf_cutoff_hz is not None:
-            v, lpf_state = _single_pole_lowpass(np.repeat(v_level[idx], sps), config.lpf_cutoff_hz,
-                                                config.sample_rate, lpf_state)
-            v = v.reshape(-1, sps)
+        v = v_level[idx]
+        if lowpassed is None:
+            v = v[:, None]
+        else:
+            v, lpf_state = _single_pole_lowpass(v, sps, config.lpf_cutoff_hz, config.sample_rate,
+                                                lpf_state, lowpassed[: idx.size])
         # receive's v + z * sigma, evaluated in place: the blocks draw the
         # same normals in the same order and IEEE multiplication and
         # addition commute, so every sample carries the same bits.

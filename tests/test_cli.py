@@ -13,7 +13,8 @@ from pvlc import calibration, cli, experiments
 from pvlc.cli import LINK_FLAGS, OPTIONS, main
 from pvlc.calibration import load_model_card
 from pvlc.device import K_B, Q_E
-from pvlc.link import BerReport, LinkConfig
+from pvlc.link import BerReport, LinkConfig, run_link
+from pvlc.seeding import payload_bits
 
 
 SWEEP_KINDS = [*experiments.CSV_HEADERS, "eye"]
@@ -80,6 +81,21 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert report["ber"] == 0.0
         assert report["pass_fec"] is True
+
+    def test_prints_its_inputs(self, model_json, tmp_path, capsys):
+        """Beside the BerReport keys: the resolved payload length and LinkConfig, flag, file or default."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "lpf_cutoff": 5e5}))
+        assert main(["simulate", str(model_json), "--config", str(cfg), "--mod-index", "0.4",
+                     "--payload-symbols", "300"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        config = LinkConfig(seed=3, lpf_cutoff_hz=5e5, mod_index=0.4)
+        report = run_link(config, load_model_card(model_json), payload_bits(600, 3))
+        assert printed == dataclasses.asdict(report) | {"payload_symbols": 300, "link": dataclasses.asdict(config)}
+        assert main(["simulate", str(model_json), "--seed", "3"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["payload_symbols"] == experiments.PAYLOAD_SYMBOLS
+        assert printed["link"] == dataclasses.asdict(LinkConfig(seed=3))
 
     def test_same_seed_same_output(self, model_json, capsys):
         args = ["simulate", str(model_json), "--seed", "21", "--payload-symbols", "2000"]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats as sp_stats
+from scipy import signal as sp_signal, stats as sp_stats
 
 from pvlc import link
 from pvlc.compensation import PostDistortionConfig, post_distort
@@ -222,7 +222,8 @@ class TestReceive:
             l_rx = channel(tx_waveform(encode_pam4(payload_bits(2000, 4)), config), config)
             expected = module_voltage(l_rx, MODULE)
             if lpf is not None:
-                expected, _ = _single_pole_lowpass(expected, lpf, config.sample_rate)
+                sps = config.samples_per_symbol
+                expected = _single_pole_lowpass(expected[::sps], sps, lpf, config.sample_rate)[0].ravel()
             v = receive(l_rx, MODULE, config, rng)
             assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))   # bit for bit
 
@@ -272,6 +273,81 @@ class TestReceive:
         v = receive(lux, MODULE, config, rng)
         # the filter never touches the noise, so the full RMS survives
         assert float(np.std(v)) == pytest.approx(1e-3, rel=0.02)
+
+    def test_lowpass_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="empty waveform"):
+            receive(np.array([]), MODULE, quiet_config(lpf_cutoff_hz=2.5e5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("lux", [np.full(12, 425.0), np.arange(400.0, 416.0)], ids=["partial-symbol", "not-nrz"])
+    def test_lowpass_rejects_non_nrz_input(self, lux):
+        """The symbol-rate filter needs whole symbols of equal samples; without it any samples pass."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="samples_per_symbol = 8"):
+            receive(lux, MODULE, quiet_config(lpf_cutoff_hz=2.5e5), rng)
+        assert np.array_equal(receive(lux, MODULE, quiet_config(), rng), module_voltage(lux, MODULE))
+
+
+def sample_rate_lowpass(v, cutoff_hz, sample_rate):
+    """The single-pole low-pass run on every sample, at rest at v[0]: the reference for the symbol-rate form."""
+    alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / sample_rate)
+    return sp_signal.lfilter([alpha], [1.0, alpha - 1.0], v, zi=[(1.0 - alpha) * v[0]])[0]
+
+
+class TestSymbolRateLowpass:
+    """_single_pole_lowpass filters rectangular NRZ at the symbol rate; the reference filters every sample."""
+
+    def symbol_voltages(self, symbols, seed):
+        config = LinkConfig(mod_index=0.45)
+        levels = np.random.default_rng(seed).integers(0, 4, symbols)
+        return module_voltage(channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS[levels]), config), MODULE)
+
+    @pytest.mark.parametrize("sps", [2, 3, 8, 13, 20])
+    @pytest.mark.parametrize("cutoff", [1e4, 2.5e5, 5e5, 2e6, 1e12])
+    def test_matches_sample_rate_filter(self, cutoff, sps):
+        """Within 4 ulps of the largest magnitude per unit of the filter's memory 1/(1 - beta).
+
+        Each step of either recurrence rounds by about an ulp, and the
+        filter carries an error for about 1/(1 - beta) samples, so a long
+        memory lets the two drift further apart: at 1e4 Hz and 20 samples
+        per symbol that memory is 160 samples.
+        """
+        x = self.symbol_voltages(5000, sps)
+        sample_rate = BIT_RATE / 2 * sps
+        y, _ = _single_pole_lowpass(x, sps, cutoff, sample_rate)
+        reference = sample_rate_lowpass(np.repeat(x, sps), cutoff, sample_rate)
+        beta = math.exp(-2.0 * math.pi * cutoff / sample_rate)
+        assert y.shape == (x.size, sps)
+        assert np.abs(y.ravel() - reference).max() <= 4 * np.spacing(np.abs(reference).max()) / (1.0 - beta)
+
+    @pytest.mark.parametrize("sps", [2, 8, 13])
+    def test_state_carried_across_blocks(self, sps):
+        """Block by block through one reused buffer, as simulate filters, gives one whole call's bits."""
+        x = self.symbol_voltages(2 * BLOCK_SYMBOLS + 1000, sps)
+        sample_rate = BIT_RATE / 2 * sps
+        whole, _ = _single_pole_lowpass(x, sps, 2.5e5, sample_rate)
+        buffer = np.empty((sps, BLOCK_SYMBOLS)).T
+        state = None
+        for start in range(0, x.size, BLOCK_SYMBOLS):
+            chunk = x[start:start + BLOCK_SYMBOLS]
+            block, state = _single_pole_lowpass(chunk, sps, 2.5e5, sample_rate, state, buffer[: chunk.size])
+            assert np.shares_memory(block, buffer)
+            assert np.array_equal(block.view(np.uint64), whole[start:start + BLOCK_SYMBOLS].view(np.uint64))
+
+    @pytest.mark.parametrize("lux,m,cutoff,sps", itertools.product((200.0, 650.0), (0.1, 0.3, 0.45),
+                                                                   (2.5e5, 2e6), (4, 13)))
+    def test_error_counts_match_sample_rate_pipeline(self, lux, m, cutoff, sps):
+        """Plain and post-distorted counts equal a pipeline that filters every sample and draws the same normals."""
+        config = LinkConfig(tx_dc_lux=lux, mod_index=m, lpf_cutoff_hz=cutoff, samples_per_symbol=sps, seed=sps)
+        payload = payload_bits(2 * (BLOCK_SYMBOLS + 1000), 14)
+        cfg = PostDistortionConfig(operating_lux=lux)
+        train = training_sequence(config)
+        l_rx = channel(tx_waveform(np.concatenate([LEVELS[train], encode_pam4(payload)]), config), config)
+        v = sample_rate_lowpass(module_voltage(l_rx, MODULE), cutoff, config.sample_rate)
+        variance = config.thermal_sigma_v**2 + shot_noise_sigma(l_rx, MODULE, config) ** 2
+        v_ac = ac_couple(v + np.random.default_rng(config.seed).standard_normal(l_rx.size) * np.sqrt(variance))
+        expected = [int(np.count_nonzero(detect_pam4(w, config, train) != payload))
+                    for w in (v_ac, post_distort(v_ac, MODULE, cfg))]
+        assert [trace.report.bits_errored for trace in simulate(config, MODULE, payload, (None, cfg))] == expected
 
 
 class TestAcCouple:
@@ -702,7 +778,7 @@ class TestSymbolMemory:
     def test_peak_memory_within_budget(self, second, lpf, budget):
         """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes.
 
-        A plain cell builds no waveform (measured 0.29x, 0.43x with the
+        A plain cell builds no waveform (measured 0.29x, 0.39x with the
         low-pass).  A pair with a PostDistortionConfig entry holds the
         waveform and one scratch block (1.37x, 1.39x with the low-pass); with
         a callable post_distort, the waveform and its compensated copy (2.36x).
