@@ -6,8 +6,19 @@ OE nonlinearity, is `LinkConfig.dcl_lux` and needs no code here
 inverts the OE curve around a known operating point, with the inverse's
 small-signal gain capped so noise in the compressed upper region is not
 amplified without bound.  It is an elementwise inverse (`invert_clipped`)
-and an affine tail (`affine_tail`), each defined once here: a `PostDistortionConfig` entry of
-`link.simulate` applies them block by block and to symbol statistics.
+and an affine tail (`affine_tail`), each defined once here.
+
+For a waveform v of mean mu, the exact inverse of the re-biased, clipped
+voltage is (i0/eta)*expm1((v - mu + v_dc)/s), with s = N*n*v_t: that is
+(i0/eta)*exp((v_dc - mu)/s) times exp(v/s), minus i0/eta.  The tail
+subtracts the mean, which removes that constant (the expm1's -1), and
+scales by the slope, into which the constant factor folds.  The re-bias by
+v_dc and the AC coupling by mu fold into the clip bounds (`clip_bounds`,
+once per waveform), so no pass over the samples adds or subtracts either.
+`post_distort` passes mu = 0 for its AC-coupled input; a
+`PostDistortionConfig` entry of `link.simulate` passes the cell's mean,
+reads the raw waveform block by block and applies the tail to the symbol
+statistics.
 
 The operating point is supplied by the caller: transmitter DC, bias light
 and ambient level are all configuration, so the receiver knows the total
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ModuleSpec, first_derivative, inverse_voltage_in_place, is_finite, module_voltage
+from .device import ModuleSpec, first_derivative, is_finite, module_voltage
 
 DEFAULT_GAIN_CAP = 4.0
 
@@ -44,24 +55,35 @@ class PostDistortionConfig:
             raise ValueError(f"gain_cap must be a number >= 1 or math.inf, got {self.gain_cap!r}")
 
 
-def invert_clipped(v_ac, out, spec: ModuleSpec, cfg: PostDistortionConfig):
-    """post_distort's elementwise part: the exact inverse of v_ac + v_dc, clipped to [0, v_ceiling], into `out`.
+def clip_bounds(mu, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """`invert_clipped`'s interval for a waveform of mean mu: (mu - v_dc, mu + N*n*v_t*ln(gain_cap)).
 
-    `out` may be v_ac itself.  v_dc is the operating-point voltage; the
-    ceiling v_dc + N*n*v_t*ln(gain_cap) caps the exponential inverse's
-    local gain at gain_cap times the operating-point gain, and the floor
-    keeps the voltages in the inverse's range.
+    The floor keeps v - mu + v_dc in the inverse's range (>= 0); the ceiling
+    caps the inverse's local gain at gain_cap times the operating-point gain.
     """
-    v_dc = module_voltage(cfg.operating_lux, spec)
-    np.add(v_ac, v_dc, out=out)
-    np.clip(out, 0.0, v_dc + spec.scale * np.log(cfg.gain_cap), out=out)
-    return inverse_voltage_in_place(out, spec)
+    return mu - module_voltage(cfg.operating_lux, spec), mu + spec.scale * math.log(cfg.gain_cap)
 
 
-def affine_tail(x, mean, spec: ModuleSpec, cfg: PostDistortionConfig):
-    """post_distort's affine last step, in place: (x - mean) times the operating-point slope."""
+def invert_clipped(v, out, bounds, spec: ModuleSpec):
+    """post_distort's elementwise part: exp(clip(v, *bounds) / (N*n*v_t)), into `out` (which may be v).
+
+    That is the clipped exact inverse up to a constant factor and offset,
+    which `affine_tail` deals with (see the module docstring).
+    """
+    np.clip(v, *bounds, out=out)
+    out *= 1.0 / spec.scale
+    return np.exp(out, out=out)
+
+
+def affine_tail(x, mean, bounds, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """post_distort's affine last step, in place: (x - mean) times the operating-point slope.
+
+    The slope carries the factor `invert_clipped` left out of x and mean,
+    (i0/eta)*exp((v_dc - mu)/(N*n*v_t)), whose exponent is -bounds[0]/(N*n*v_t).
+    """
+    p = spec.params
     x -= mean
-    x *= first_derivative(cfg.operating_lux, spec, "exact")
+    x *= first_derivative(cfg.operating_lux, spec, "exact") * (p.i0 / p.eta) * math.exp(-bounds[0] / spec.scale)
     return x
 
 
@@ -83,5 +105,6 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     if abs(float(v_ac.mean())) > 1e-6 * rms:
         raise ValueError("input must be AC-coupled (zero mean)")
     # every step runs in place on one new array
-    out = invert_clipped(v_ac, np.empty(v_ac.shape), spec, cfg)
-    return affine_tail(out, out.mean(), spec, cfg)
+    bounds = clip_bounds(0.0, spec, cfg)
+    out = invert_clipped(v_ac, np.empty(v_ac.shape), bounds, spec)
+    return affine_tail(out, out.mean(), bounds, spec, cfg)

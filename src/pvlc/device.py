@@ -186,16 +186,7 @@ def inverse_voltage(volts, spec: ModuleSpec):
     arr = np.asarray(volts, dtype=float)
     if np.any(arr < 0):
         raise ValueError("voltage must be >= 0")
-    return _match(inverse_voltage_in_place(arr.copy(), spec), volts)
-
-
-def inverse_voltage_in_place(volts, spec: ModuleSpec):
-    """`inverse_voltage` without the range check, overwriting `volts`.
-
-    `volts` must be a float ndarray of voltages >= 0; it is returned
-    holding the illuminances.
-    """
-    volts /= spec.scale
-    np.expm1(volts, out=volts)
-    volts *= spec.params.i0 / spec.params.eta
-    return volts
+    lux = np.divide(arr, spec.scale, out=np.empty(arr.shape))   # an array even for a scalar
+    np.expm1(lux, out=lux)
+    lux *= spec.params.i0 / spec.params.eta
+    return _match(lux, volts)

@@ -18,11 +18,13 @@ the sample count, not numpy's pairwise mean, and the plain statistics are
 the raw ones minus mu: the samplewise `ac_couple` -> `detect_pam4`
 pipeline up to rounding, with the same error counts.  Tests compare both.
 The waveform exists only on request (`waveform=True`) or for a
-postprocess: then it is AC-coupled in place with the same mu and made
-read-only, and one realization serves the plain receiver and any number
+postprocess, and one realization serves the plain receiver and any number
 of post-processed ones, so a plain/compensated comparison sees the same
-noise.  A callable returns a new array; a `PostDistortionConfig` entry
-slices statistics taken block by block, so no compensated waveform exists.
+noise.  A `PostDistortionConfig` entry slices statistics taken block by
+block from the raw waveform, with mu folded into its clip bounds, so no
+compensated waveform exists.  Only a waveform that leaves `simulate` (on
+request, or for a callable, which returns a new array) is AC-coupled in
+place with the same mu and made read-only.
 The optional single-pole low-pass takes rectangular NRZ input and runs at
 the symbol rate: one `lfilter` over each block's symbol voltages gives the
 filter's state at every symbol boundary, and each sample follows from it in
@@ -34,8 +36,8 @@ it to the last bits from 8 on.  Symbol-rate integers are uint8.  Without
 the waveform a cell holds one block buffer plus float64 statistics: at
 50 000 payload symbols its tracemalloc peak is about 0.29x the waveform's
 bytes (0.39x with the low-pass, which adds one block of filtered
-samples).  A plain + post-distorted pair peaks at 1.37x (1.39x with the
-low-pass) with a `PostDistortionConfig` entry, which holds the waveform
+samples).  A plain + post-distorted pair peaks at 1.365x, with or without
+the low-pass, with a `PostDistortionConfig` entry, which holds the waveform
 and one scratch block, and at 2.36x with a callable `post_distort`, which
 holds the waveform and its compensated copy.
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sp_signal
 
-from .compensation import PostDistortionConfig, affine_tail, invert_clipped
+from .compensation import PostDistortionConfig, affine_tail, clip_bounds, invert_clipped
 from .device import ModuleSpec, Q_E, check_count, is_finite, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
@@ -311,13 +313,13 @@ def _noisy_blocks(level_indices, out, spec: ModuleSpec, config: LinkConfig, rng)
 
 
 def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
-    """AC-coupled symbol statistics of these levels' received NRZ waveform, and the waveform on request.
+    """AC-coupled symbol statistics of these levels' received NRZ waveform, its mean, and the waveform on request.
 
-    Returns (statistics, read-only AC-coupled (symbols, sps) waveform or
-    None).  The blocks of `_noisy_blocks` land in one reused buffer, or
-    with `waveform` in their rows of the whole array; either way they are
-    reduced as they are built, and the mean mu of their running sum is
-    subtracted from the statistics and from the waveform.
+    Returns (statistics, mu, raw (symbols, sps) waveform or None).  The
+    blocks of `_noisy_blocks` land in one reused buffer, or with `waveform`
+    in their rows of the whole array; either way they are reduced as they
+    are built, and the mean mu of their running sum is subtracted from the
+    statistics.  The waveform is returned as built, not AC-coupled.
     """
     sps = config.samples_per_symbol
     rows = level_indices.size if waveform else min(level_indices.size, BLOCK_SYMBOLS)
@@ -330,27 +332,25 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform
     mu = total / (level_indices.size * sps)
     stats -= mu
     stats.flags.writeable = False   # every plain receiver of the cell shares it
-    if not waveform:
-        return stats, None
-    out -= mu   # ac_couple, in place
-    out.flags.writeable = False
-    return stats, out
+    return stats, mu, out if waveform else None
 
 
-def _post_distorted_statistics(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
-    """Symbol statistics of `post_distort(v_ac, spec, cfg)` for a (symbols, sps) waveform, with no copy of it.
+def _post_distorted_statistics(v, mu, spec: ModuleSpec, cfg: PostDistortionConfig):
+    """Symbol statistics of `post_distort(v - mu, spec, cfg)` for a raw (symbols, sps) waveform v of mean mu.
 
-    Each block goes through the clipped inverse into one scratch block,
-    which is reduced to its statistics and sum; the affine tail then acts
-    on the statistics, with the sum over the sample count as the mean.
-    Tests compare it with `post_distort`.
+    No copy of v is made: each block goes through the clipped inverse, whose
+    bounds fold in mu, into one scratch block, which is reduced to its
+    statistics and sum; the affine tail then acts on the statistics, with
+    the sum over the sample count as the mean.  Tests compare it with
+    `post_distort`.
     """
-    symbols, sps = v_ac.shape
+    symbols, sps = v.shape
+    bounds = clip_bounds(mu, spec, cfg)
     scratch = np.empty((min(symbols, BLOCK_SYMBOLS), sps))
-    blocks = (invert_clipped(rows, scratch[: len(rows)], spec, cfg)
-              for rows in (v_ac[start:start + BLOCK_SYMBOLS] for start in range(0, symbols, BLOCK_SYMBOLS)))
+    blocks = (invert_clipped(rows, scratch[: len(rows)], bounds, spec)
+              for rows in (v[start:start + BLOCK_SYMBOLS] for start in range(0, symbols, BLOCK_SYMBOLS)))
     stats, total = _statistics_and_sum(blocks, symbols, sps)
-    return affine_tail(stats, total / v_ac.size, spec, cfg)
+    return affine_tail(stats, total / v.size, bounds, spec, cfg)
 
 
 def ac_couple(v):
@@ -482,7 +482,9 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     slices post-distorted statistics; a callable entry is applied to the
     read-only AC-coupled waveform, so it returns a new array.  Any other
     entry is a TypeError before any work.  The waveform is returned only
-    when an entry is callable or `waveform` is true.  Deterministic for a
+    when an entry is callable or `waveform` is true, and only then is it
+    AC-coupled: a `PostDistortionConfig` entry reads the raw waveform, with
+    the mean folded into its clip bounds.  Deterministic for a
     fixed config (the RNG derives from config.seed).  Errors are counted
     per symbol: a decision costs as many bits as its Gray code differs
     from the sent dibit in.
@@ -498,14 +500,21 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     train = training_sequence(config)
     levels = np.concatenate([train, _gray(sent)])
     rng = np.random.default_rng(config.seed)
-    plain, v = _received(levels, spec, config, rng, waveform or any(entry is not None for entry in postprocesses))
-    flat = v.ravel() if waveform or any(map(callable, postprocesses)) else None
+    plain, mu, v = _received(levels, spec, config, rng, waveform or any(entry is not None for entry in postprocesses))
+    # post-distorted statistics read the raw waveform, before any AC coupling
+    compensated = [_post_distorted_statistics(v, mu, spec, entry) if isinstance(entry, PostDistortionConfig)
+                   else None for entry in postprocesses]
+    flat = None
+    if waveform or any(map(callable, postprocesses)):   # the waveform leaves simulate
+        v -= mu   # ac_couple, in place
+        v.flags.writeable = False
+        flat = v.ravel()
     traces = []
-    for postprocess in postprocesses:
+    for postprocess, post_stats in zip(postprocesses, compensated):
         if postprocess is None:
             out, stats = flat, plain
-        elif isinstance(postprocess, PostDistortionConfig):
-            out, stats = None, _post_distorted_statistics(v, spec, postprocess)
+        elif post_stats is not None:
+            out, stats = None, post_stats
         else:
             out = postprocess(flat)
             stats = symbol_statistics(out, config.samples_per_symbol)

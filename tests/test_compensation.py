@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pvlc.compensation import PostDistortionConfig, post_distort
+from pvlc.compensation import PostDistortionConfig, affine_tail, clip_bounds, invert_clipped, post_distort
 from pvlc.device import ModuleSpec, PVCellParams, first_derivative, module_voltage
 from pvlc.link import LinkConfig, ac_couple, simulate
 from pvlc.seeding import payload_bits
@@ -82,18 +82,46 @@ class TestPostDistort:
 
     @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
     def test_matches_reference_formula(self, gain_cap):
-        """The in-place steps give the formula's bits and leave the input alone."""
+        """The in-place steps give the exponential form's bits and leave the input alone."""
         rng = np.random.default_rng(5)
         v_ac = ac_couple(module_voltage(rng.uniform(50.0, 900.0, 4096), MODULE) + rng.normal(0, 2e-3, 4096))
         before = v_ac.copy()
         cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=gain_cap)
         p = MODULE.params
         v_dc = module_voltage(350.0, MODULE)
-        ceiling = v_dc + MODULE.cell_count * p.n * p.v_t * np.log(gain_cap)
         scale = MODULE.cell_count * p.n * p.v_t
-        lux_hat = (p.i0 / p.eta) * np.expm1(np.clip(v_ac + v_dc, 0.0, ceiling) / scale)
-        expected = (lux_hat - lux_hat.mean()) * first_derivative(350.0, MODULE, "exact")
+        x = np.exp(np.clip(v_ac, -v_dc, scale * math.log(gain_cap)) * (1.0 / scale))
+        gain = first_derivative(350.0, MODULE, "exact") * (p.i0 / p.eta) * math.exp(v_dc / scale)
+        expected = (x - x.mean()) * gain
         v_ac.flags.writeable = False
         assert np.array_equal(post_distort(v_ac, MODULE, cfg), expected)
         assert np.array_equal(v_ac, before)
 
+    @pytest.mark.parametrize("gain_cap", [1.0, 4.0, math.inf])
+    @pytest.mark.parametrize("raw", [False, True], ids=["ac-coupled", "raw"])
+    def test_agrees_with_expm1_form(self, gain_cap, raw):
+        """exp with folded constants is the re-biased expm1 inverse, to 1e-12 of the output's largest magnitude.
+
+        The AC-coupled case is `post_distort` (mean 0); the raw case is what a
+        PostDistortionConfig entry of `simulate` runs, with the waveform's
+        mean mu folded into the clip bounds.
+        """
+        rng = np.random.default_rng(6)
+        raw_v = module_voltage(rng.uniform(50.0, 900.0, 4096), MODULE) + rng.normal(0, 2e-3, 4096)
+        mu = float(raw_v.mean())
+        v_ac = raw_v - mu
+        cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=gain_cap)
+        p = MODULE.params
+        v_dc = module_voltage(350.0, MODULE)
+        lux_hat = (p.i0 / p.eta) * np.expm1(np.clip(v_ac + v_dc, 0.0, v_dc + MODULE.scale * np.log(gain_cap))
+                                            / MODULE.scale)
+        expected = (lux_hat - lux_hat.mean()) * first_derivative(350.0, MODULE, "exact")
+        if raw:
+            bounds = clip_bounds(mu, MODULE, cfg)
+            x = invert_clipped(raw_v, np.empty_like(raw_v), bounds, MODULE)
+            out = affine_tail(x, x.mean(), bounds, MODULE, cfg)
+        else:
+            out = post_distort(v_ac, MODULE, cfg)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        if gain_cap == 1.0:   # the cap clips every voltage above the operating point
+            assert np.ptp(out[v_ac >= 0]) <= 1e-12 * np.abs(expected).max()

@@ -9,7 +9,6 @@ from pvlc.device import (
     cell_voltage,
     first_derivative,
     inverse_voltage,
-    inverse_voltage_in_place,
     module_voltage,
     photocurrent,
     second_derivative,
@@ -266,9 +265,3 @@ class TestInverse:
         assert np.array_equal(volts, before)
         assert isinstance(inverse_voltage(volts[7], spec), float)
         assert inverse_voltage(volts[7], spec) == expected[7]
-
-    def test_in_place_overwrites_its_argument(self):
-        volts = module_voltage(np.linspace(0.0, 2000.0, 101), MODULE)
-        expected = inverse_voltage(volts, MODULE)
-        assert inverse_voltage_in_place(volts, MODULE) is volts
-        assert np.array_equal(volts, expected)

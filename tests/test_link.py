@@ -708,6 +708,22 @@ class TestPostDistortionEntry:
             assert np.array_equal(getattr(plain, field), getattr(alone, field)), field
         assert plain.report == alone.report
 
+    @pytest.mark.parametrize("lpf", [None, 5e5])
+    def test_trace_independent_of_other_receivers(self, lpf):
+        """The entry reads the raw waveform before simulate AC-couples it for a callable or for waveform=True."""
+        config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=lpf, seed=44)
+        payload = payload_bits(2 * (BLOCK_SYMBOLS + 500), 14)
+        cfg = PostDistortionConfig(operating_lux=350.0)
+        post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
+        (alone,) = simulate(config, MODULE, payload, (cfg,))
+        traces = [simulate(config, MODULE, payload, (post, cfg))[1], simulate(config, MODULE, payload, (cfg, post))[0],
+                  simulate(config, MODULE, payload, (cfg,), waveform=True)[0]]
+        for trace in traces:
+            assert trace.v is None
+            for field in ("stats", "centroids", "thresholds", "detected"):
+                assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
+            assert trace.report == alone.report
+
     def test_run_link_takes_the_entry(self):
         config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=5e5, seed=43)
         payload = payload_bits(40_000, 13)
@@ -780,8 +796,9 @@ class TestSymbolMemory:
 
         A plain cell builds no waveform (measured 0.29x, 0.39x with the
         low-pass).  A pair with a PostDistortionConfig entry holds the
-        waveform and one scratch block (1.37x, 1.39x with the low-pass); with
-        a callable post_distort, the waveform and its compensated copy (2.36x).
+        waveform and one scratch block (1.365x, with or without the
+        low-pass); with a callable post_distort, the waveform and its
+        compensated copy (2.36x).
         """
         config = LinkConfig(seed=3, lpf_cutoff_hz=lpf)
         payload = payload_bits(100_000, 3)   # built before tracing: the sweeps share it

@@ -16,9 +16,12 @@ ops, or the script stops.
 `BENCH_<topic>.json` gets one entry per workload: the seeds, both sides'
 metrics of every pair, and for each end-to-end metric of BENCHMARK.json the
 median and quartiles of each side (`summarise` of perfbench/baseline.py),
-the parent's interquartile range and the number of pairs the change won by
-the metric's `better` direction.  The file also records the machine: nproc
-and the Python, numpy and scipy versions.  A call for another workload adds
+the parent's interquartile range, the number of pairs the change won by
+the metric's `better` direction, the median shift (the change's median minus
+the parent's) and whether that shift is larger in size than the parent's
+interquartile range.  A gain is shown when the change wins nearly every pair
+and its median moved the `better` way by more than that range.  The file
+also records the machine: nproc and the Python, numpy and scipy versions.  A call for another workload adds
 it to the same file.  A call for a workload already there, on the same two
 revisions, adds its pairs to the stored ones (a seed run again replaces its
 pair).
@@ -63,9 +66,10 @@ def summarise(pairs, end_to_end):
         change = [pair["change"][name] for pair in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         before, after = quartiles(parent), quartiles(change)
+        iqr, shift = before["q3"] - before["q1"], after["median"] - before["median"]
         summary[name] = {"unit": metric["unit"], "better": metric["better"], "parent": before,
-                         "change": after, "parent_iqr": before["q3"] - before["q1"],
-                         "change_wins": wins, "pairs": len(pairs)}
+                         "change": after, "parent_iqr": iqr, "change_wins": wins, "pairs": len(pairs),
+                         "median_shift": shift, "shift_exceeds_parent_iqr": abs(shift) > iqr}
     return summary
 
 
