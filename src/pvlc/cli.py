@@ -150,8 +150,8 @@ def _build_parser():
 def _merge_config(args):
     """Overlay CLI flags on the optional JSON config; flags win.
 
-    Every file key must name an option of the command, so a misspelt key
-    fails instead of being ignored.
+    Every file key must name an option of the command and hold a value, so a
+    misspelt key or a null fails instead of being ignored or defaulted.
     """
     merged = dict(vars(args))
     config_path = merged.pop("config", None)
@@ -169,6 +169,8 @@ def _merge_config(args):
             key = key.replace("-", "_")
             if key not in flags:
                 raise ValueError(f"unknown config file key {key!r} for 'pvlc {command}'")
+            if value is None:
+                raise ValueError(f"{_flag(key)} must not be null in the config file")
             if merged.get(key) is None:
                 merged[key] = value
     return merged
@@ -258,7 +260,7 @@ def _cmd_sweep(merged, options):
         rows = experiments.sweep_postdistortion(options["m_grid"], config, spec, options["gain_cap"], *runs)
     else:  # eye
         traces, sps = options["traces"], config.samples_per_symbol
-        v = simulate(config, spec, payload_bits(2 * max(2 * traces + 8, 256), config.seed), waveform=True)[0].v
+        v = simulate(config, spec, payload_bits(2 * max(2 * traces + 8, 256), config.seed), (lambda v: v,))[0].v
         write_eye_csv(export_eye(v[config.training_symbols * sps :], sps, traces), out_dir / "eye.csv")
     if kind in CSV_HEADERS:
         write_csv(out_dir / f"{kind}.csv", CSV_HEADERS[kind], rows)
@@ -295,7 +297,7 @@ def _typed(merged, key, kind, positive=False):
 
 
 def _parse_list(merged, key, kind):
-    """A comma list flag or a JSON list from the config file; never empty.
+    """A comma list flag or a JSON list from the config file; never empty, nor with an empty item.
 
     Each item must pass `_typed`'s rule for `kind`, so a JSON 1.5 or true
     among cell counts is rejected, not truncated.
@@ -304,8 +306,8 @@ def _parse_list(merged, key, kind):
     if isinstance(value, list):
         items = value
     else:
-        try:
-            items = [kind(x) for x in str(value).split(",") if x.strip()]
+        try:   # an empty item, as in "425,,", does not parse
+            items = [kind(x) for x in str(value).split(",")]
         except ValueError:
             raise ValueError(f"{_flag(key)}: could not parse list {value!r}") from None
     if not items:

@@ -102,8 +102,9 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     # einsum's own loop: no squared temporary, and no BLAS threads in pool workers
     flat = v_ac.ravel()
     rms = float(np.sqrt(np.einsum("i,i->", flat, flat) / flat.size))
-    if abs(float(v_ac.mean())) > 1e-6 * rms:
-        raise ValueError("input must be AC-coupled (zero mean)")
+    mean = float(v_ac.mean())
+    if not abs(mean) <= 1e-6 * rms:   # a NaN sample makes both NaN, and fails the test
+        raise ValueError(f"input must be AC-coupled (zero mean) and hold no NaN, got mean {mean!r}")
     # every step runs in place on one new array
     bounds = clip_bounds(0.0, spec, cfg)
     out = invert_clipped(v_ac, np.empty(v_ac.shape), bounds, spec)

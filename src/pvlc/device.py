@@ -98,12 +98,11 @@ class CellElectrical:
 
 def _as_lux_array(lux, allow_zero=True):
     arr = np.asarray(lux, dtype=float)
-    if allow_zero:
-        if np.any(arr < 0):
-            raise ValueError("illuminance must be >= 0")
-    else:
-        if np.any(arr <= 0):
-            raise ValueError("illuminance must be > 0 for the asymptotic form")
+    # one pass each, written so that NaN, which fails every comparison, fails the check
+    if allow_zero and not (arr >= 0).all():
+        raise ValueError("illuminance must be >= 0, not negative or NaN")
+    if not allow_zero and not (arr > 0).all():
+        raise ValueError("illuminance must be > 0 for the asymptotic form, not NaN")
     return arr
 
 
@@ -179,13 +178,13 @@ def _derivative(lux, spec: ModuleSpec, form, order):
 def inverse_voltage(volts, spec: ModuleSpec):
     """Illuminance that produces a given module voltage (exact inverse).
 
-    L = (i0/eta) * (exp(V / (N*n*v_t)) - 1).  Negative voltages are outside
-    the model's range and raise; callers that may produce them (for example
-    noisy waveforms) must clamp first.
+    L = (i0/eta) * (exp(V / (N*n*v_t)) - 1).  Negative and NaN voltages are
+    outside the model's range and raise; callers that may produce them (for
+    example noisy waveforms) must clamp first.
     """
     arr = np.asarray(volts, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("voltage must be >= 0")
+    if not (arr >= 0).all():
+        raise ValueError("voltage must be >= 0, not negative or NaN")
     lux = np.divide(arr, spec.scale, out=np.empty(arr.shape))   # an array even for a scalar
     np.expm1(lux, out=lux)
     lux *= spec.params.i0 / spec.params.eta

@@ -17,14 +17,14 @@ block is reduced as it is built.  mu is the sum of the block sums over
 the sample count, not numpy's pairwise mean, and the plain statistics are
 the raw ones minus mu: the samplewise `ac_couple` -> `detect_pam4`
 pipeline up to rounding, with the same error counts.  Tests compare both.
-The waveform exists only on request (`waveform=True`) or for a
-postprocess, and one realization serves the plain receiver and any number
-of post-processed ones, so a plain/compensated comparison sees the same
+The receiver list alone decides what a cell keeps: the waveform exists
+only for an entry that is not None, and only a callable entry, which
+returns a new array, gets it AC-coupled in place with the same mu and
+read-only.  One realization serves the plain receiver and any number of
+post-processed ones, so a plain/compensated comparison sees the same
 noise.  A `PostDistortionConfig` entry slices statistics taken block by
 block from the raw waveform, with mu folded into its clip bounds, so no
-compensated waveform exists.  Only a waveform that leaves `simulate` (on
-request, or for a callable, which returns a new array) is AC-coupled in
-place with the same mu and made read-only.
+compensated waveform exists.
 The optional single-pole low-pass takes rectangular NRZ input and runs at
 the symbol rate: one `lfilter` over each block's symbol voltages gives the
 filter's state at every symbol boundary, and each sample follows from it in
@@ -48,7 +48,7 @@ not represent.  See README for the calibration notes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -118,20 +118,21 @@ class LinkConfig:
 
 @dataclass(frozen=True)
 class BerReport:
-    """Bit error accounting for one link run."""
+    """Bit error accounting for one link run: checked counts, and the BER and FEC verdict they give."""
 
     bits_total: int
     bits_errored: int
-    ber: float
-    pass_fec: bool
+    ber: float = field(init=False)
+    pass_fec: bool = field(init=False)
 
-    @classmethod
-    def from_counts(cls, bits_total, bits_errored):
-        check_count("bits_total", bits_total, 1)
-        if check_count("bits_errored", bits_errored, 0) > bits_total:
-            raise ValueError(f"bits_errored must be <= bits_total ({bits_total}), got {bits_errored!r}")
-        ber = bits_errored / bits_total
-        return cls(int(bits_total), int(bits_errored), ber, ber < FEC_BER_THRESHOLD)
+    def __post_init__(self):
+        check_count("bits_total", self.bits_total, 1)
+        if check_count("bits_errored", self.bits_errored, 0) > self.bits_total:
+            raise ValueError(f"bits_errored must be <= bits_total ({self.bits_total}), got {self.bits_errored!r}")
+        object.__setattr__(self, "bits_total", int(self.bits_total))
+        object.__setattr__(self, "bits_errored", int(self.bits_errored))
+        object.__setattr__(self, "ber", self.bits_errored / self.bits_total)
+        object.__setattr__(self, "pass_fec", self.ber < FEC_BER_THRESHOLD)
 
 
 def _check_bits(bits):
@@ -460,10 +461,9 @@ def training_sequence(config: LinkConfig):
 class LinkTrace:
     """What one receiver of `simulate` saw and decided.
 
-    v is the flat waveform its slicer read, training symbols first: the
-    AC-coupled received voltage, or what a callable postprocess made of it.
-    It is None for a `PostDistortionConfig` entry, and for the plain
-    receiver when `simulate` kept no waveform.
+    v is what a callable entry returned from the AC-coupled waveform,
+    training symbols first; None for the plain receiver and for a
+    `PostDistortionConfig` entry.
     """
 
     v: np.ndarray | None
@@ -474,20 +474,21 @@ class LinkTrace:
     report: BerReport
 
 
-def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(None,), waveform=False):
+def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(None,)):
     """Run the link once and slice it with one receiver per entry of `postprocesses`.
 
     Returns one LinkTrace per entry, all from one noise realization.  An
-    entry of None is the plain receiver; a `PostDistortionConfig` entry
-    slices post-distorted statistics; a callable entry is applied to the
-    read-only AC-coupled waveform, so it returns a new array.  Any other
-    entry is a TypeError before any work.  The waveform is returned only
-    when an entry is callable or `waveform` is true, and only then is it
-    AC-coupled: a `PostDistortionConfig` entry reads the raw waveform, with
-    the mean folded into its clip bounds.  Deterministic for a
-    fixed config (the RNG derives from config.seed).  Errors are counted
-    per symbol: a decision costs as many bits as its Gray code differs
-    from the sent dibit in.
+    entry of None is the plain receiver, which slices block statistics; a
+    `PostDistortionConfig` entry slices post-distorted statistics of the raw
+    waveform, with the mean folded into its clip bounds; a callable entry
+    returns a new array from the AC-coupled waveform (the identity
+    `lambda v: v` returns that waveform itself).  Any other entry is a
+    TypeError before any work.  The list alone decides what the cell keeps:
+    an entry that is not None keeps the raw waveform, and only a callable
+    entry gets it AC-coupled in place and read-only.  Deterministic for a
+    fixed config (the RNG derives from config.seed).  Errors are counted per
+    symbol: a decision costs as many bits as its Gray code differs from the
+    sent dibit in.
     """
     for entry in postprocesses:
         if not (entry is None or isinstance(entry, PostDistortionConfig) or callable(entry)):
@@ -500,28 +501,23 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     train = training_sequence(config)
     levels = np.concatenate([train, _gray(sent)])
     rng = np.random.default_rng(config.seed)
-    plain, mu, v = _received(levels, spec, config, rng, waveform or any(entry is not None for entry in postprocesses))
+    plain, mu, v = _received(levels, spec, config, rng, any(entry is not None for entry in postprocesses))
     # post-distorted statistics read the raw waveform, before any AC coupling
-    compensated = [_post_distorted_statistics(v, mu, spec, entry) if isinstance(entry, PostDistortionConfig)
-                   else None for entry in postprocesses]
-    flat = None
-    if waveform or any(map(callable, postprocesses)):   # the waveform leaves simulate
+    entry_stats = [_post_distorted_statistics(v, mu, spec, entry) if isinstance(entry, PostDistortionConfig)
+                   else plain for entry in postprocesses]
+    if any(map(callable, postprocesses)):
         v -= mu   # ac_couple, in place
         v.flags.writeable = False
-        flat = v.ravel()
     traces = []
-    for postprocess, post_stats in zip(postprocesses, compensated):
-        if postprocess is None:
-            out, stats = flat, plain
-        elif post_stats is not None:
-            out, stats = None, post_stats
-        else:
-            out = postprocess(flat)
+    for postprocess, stats in zip(postprocesses, entry_stats):
+        out = None
+        if callable(postprocess):
+            out = postprocess(v.ravel())
             stats = symbol_statistics(out, config.samples_per_symbol)
         centroids, thresholds, detected = _slice(stats, train)
         wrong = _gray(detected) ^ sent   # the bits each decision got wrong
         errors = int(np.count_nonzero(wrong & 1) + np.count_nonzero(wrong & 2))
-        report = BerReport.from_counts(payload_bits.size, errors)
+        report = BerReport(payload_bits.size, errors)
         traces.append(LinkTrace(out, stats, centroids, thresholds, detected, report))
     return tuple(traces)
 
@@ -529,7 +525,8 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
 def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=None):
     """BerReport of one link run (`simulate` with a single receiver).
 
-    `postprocess`, when given, is a `simulate` entry: a `PostDistortionConfig`
-    or a callable that returns a new array from the read-only AC-coupled waveform.
+    `postprocess`, when given, is a `simulate` entry: a `PostDistortionConfig`,
+    which reads the raw waveform, or a callable, which gets it AC-coupled and
+    read-only and returns a new array.  Without one the cell keeps no waveform.
     """
     return simulate(config, spec, payload_bits, (postprocess,))[0].report

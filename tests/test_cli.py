@@ -154,7 +154,7 @@ class TestLinkFlags:
 
         def fake_run_link(config, spec, payload):
             seen.append(config)
-            return BerReport.from_counts(payload.size, 0)
+            return BerReport(payload.size, 0)
 
         monkeypatch.setattr(cli, "run_link", fake_run_link)
         assert main(["simulate", str(model_json), "--config", str(cfg), "--payload-symbols", "100"]) == 0
@@ -264,6 +264,10 @@ class TestBoundary:
         ("response", "--lux-max", "inf"),
         ("response", "--lux-step", "0"),
         ("ber_vs_m", "--m-grid", ","),
+        ("ber_vs_m", "--m-grid", "0.3,"),
+        ("ber_vs_m", "--illuminances", "425,,"),
+        ("ber_vs_dcl", "--dcl-grid", ",0"),
+        ("response", "--cells-list", "1, ,2"),
     ])
     def test_sweep_rejects(self, model_json, tmp_path, capsys, kind, flag, value):
         out = tmp_path / "out"
@@ -292,7 +296,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("values,flag", [
         ({"seed": 1, "mod_index": "0.3"}, "--mod-index"),
-        ({"seed": 1, "tx_dc": None, "dcl": [1]}, "--dcl"),
+        ({"seed": 1, "dcl": [1]}, "--dcl"),
         ({"seed": 1, "lpf_cutoff": "fast"}, "--lpf-cutoff"),
         ({"seed": 1, "sps": 8.0}, "--sps"),
         ({"seed": 1, "training": True}, "--training"),
@@ -305,6 +309,22 @@ class TestBoundary:
         code = main(["simulate", str(model_json), "--config", str(cfg), "--payload-symbols", "500"])
         assert code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [
+        (["sweep", "ber_vs_m"], "reps"), (["sweep", "ber_vs_m"], "m_grid"), (["sweep", "response"], "lux_step"),
+        (["sweep", "eye"], "tx_dc"), (["sweep", "postdist"], "gain_cap"), (["simulate"], "payload_symbols"),
+        (["simulate"], "seed"),
+    ], ids=lambda x: x if isinstance(x, str) else x[-1])
+    def test_config_file_null_rejected(self, model_json, tmp_path, capsys, command, key):
+        """A null is an error naming the flag, never the table default."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "out"
+        argv = [*command, str(model_json), "--config", str(cfg)]
+        code = main(argv + (["--out-dir", str(out)] if command[0] == "sweep" else []))
+        assert code == 2
+        assert f"{cli._flag(key)} must not be null in the config file" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["simulate"], ["sweep", "eye"]], ids=["simulate", "eye"])
     def test_unallocatable_sps_rejected(self, model_json, tmp_path, capsys, command):

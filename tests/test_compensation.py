@@ -46,6 +46,14 @@ class TestPostDistort:
         with pytest.raises(ValueError, match="AC-coupled"):
             post_distort(np.full(32, 0.01), MODULE, cfg)
 
+    @pytest.mark.parametrize("where", [0, 17, 63])
+    def test_nan_sample_rejected(self, where):
+        """One NaN sample makes the mean and the RMS NaN; the zero-mean check rejects it by name."""
+        v = np.sin(np.linspace(0.0, 4.0 * math.pi, 64, endpoint=False)) * 1e-3
+        v[where] = np.nan
+        with pytest.raises(ValueError, match="hold no NaN, got mean nan"):
+            post_distort(v, MODULE, PostDistortionConfig(operating_lux=350.0))
+
     def test_gain_cap_bounds_noise_amplification(self):
         rng = np.random.default_rng(5)
         noise = rng.normal(0.0, 5e-3, 200_000)

@@ -232,6 +232,41 @@ class TestDerivatives:
         assert np.all(second_derivative(grid, MODULE) < 0)
 
 
+NAN_INPUTS = [float("nan"), np.nan, [1.0, np.nan], np.array([np.nan, 250.0, 1000.0])]
+NAN_IDS = ["float", "numpy", "list", "array"]
+
+
+class TestNaNRejected:
+    """NaN fails every comparison, so each input check is written to let only valid numbers through."""
+
+    @pytest.mark.parametrize("lux", NAN_INPUTS, ids=NAN_IDS)
+    @pytest.mark.parametrize("evaluate", [
+        lambda lux: photocurrent(lux, PARAMS),
+        lambda lux: cell_voltage(lux, PARAMS),
+        lambda lux: module_voltage(lux, MODULE),
+        lambda lux: first_derivative(lux, MODULE),
+        lambda lux: second_derivative(lux, MODULE),
+    ], ids=["photocurrent", "cell_voltage", "module_voltage", "first_derivative", "second_derivative"])
+    def test_illuminance(self, evaluate, lux):
+        with pytest.raises(ValueError, match="illuminance must be >= 0, not negative or NaN"):
+            evaluate(lux)
+
+    @pytest.mark.parametrize("lux", NAN_INPUTS, ids=NAN_IDS)
+    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    def test_asymptotic_illuminance(self, derivative, lux):
+        with pytest.raises(ValueError, match="illuminance must be > 0 for the asymptotic form, not NaN"):
+            derivative(lux, MODULE, "asymptotic")
+
+    @pytest.mark.parametrize("volts", NAN_INPUTS, ids=NAN_IDS)
+    def test_voltage(self, volts):
+        with pytest.raises(ValueError, match="voltage must be >= 0, not negative or NaN"):
+            inverse_voltage(volts, MODULE)
+
+    def test_empty_array_accepted(self):
+        assert module_voltage(np.array([]), MODULE).size == 0
+        assert inverse_voltage(np.array([]), MODULE).size == 0
+
+
 class TestInverse:
     def test_zero(self):
         assert inverse_voltage(0.0, MODULE) == 0.0

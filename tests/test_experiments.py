@@ -375,7 +375,7 @@ class TestEye:
     def noiseless_eye(self, tx_dc, mod_index, traces=32):
         config = LinkConfig(tx_dc_lux=tx_dc, mod_index=mod_index, thermal_sigma_v=0.0,
                             noise_bandwidth_hz=0.0, seed=11)
-        (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed), waveform=True)
+        (trace,) = simulate(config, MODULE, payload_bits(2 * 512, config.seed), (lambda v: v,))
         sps = config.samples_per_symbol
         return export_eye(trace.v[config.training_symbols * sps:], sps, traces), config
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -464,19 +465,28 @@ class TestRunLink:
         assert 0.4 < report.ber < 0.6
 
     def test_ber_report_counts(self):
-        report = BerReport.from_counts(1000, 20)
+        report = BerReport(1000, 20)
         assert report.ber == 0.02
         assert not report.pass_fec   # threshold is exclusive
-        assert BerReport.from_counts(np.int64(10), np.int64(10)) == BerReport(10, 10, 1.0, False)
+        assert BerReport(999, 19).pass_fec
+        numpy_counts = BerReport(np.int64(10), np.int64(10))
+        assert numpy_counts == BerReport(10, 10)
+        assert dataclasses.asdict(numpy_counts) == {"bits_total": 10, "bits_errored": 10, "ber": 1.0, "pass_fec": False}
+        assert type(numpy_counts.bits_total) is int and type(numpy_counts.bits_errored) is int
+
+    def test_ber_and_pass_fec_are_derived(self):
+        with pytest.raises(TypeError):
+            BerReport(10, 11, 0.5, True)
 
     @pytest.mark.parametrize("counts,match", [
         ((10, 11), "bits_errored must be <= bits_total"), ((10, -1), "bits_errored must be an integer >= 0"),
         ((10.5, 1), "bits_total must be an integer >= 1"), ((True, 0), "bits_total must be an integer >= 1"),
         ((0, 0), "bits_total must be an integer >= 1"), ((10, 1.0), "bits_errored must be an integer >= 0"),
+        ((10, False), "bits_errored must be an integer >= 0"), ((-10, 0), "bits_total must be an integer >= 1"),
     ])
     def test_ber_report_rejects_impossible_counts(self, counts, match):
         with pytest.raises(ValueError, match=match):
-            BerReport.from_counts(*counts)
+            BerReport(*counts)
 
     def test_noise_matches_gaussian_q_prediction(self):
         """Measured BER agrees with the closed-form prediction for the
@@ -580,7 +590,7 @@ class TestLevelTable:
         payload = payload_bits(2 * (2 * BLOCK_SYMBOLS + 1000), 5)
         received, _ = samplewise_pipeline(config, payload)
         mu = blocked_mean(received, config.samples_per_symbol)
-        assert np.array_equal(simulate(config, MODULE, payload, waveform=True)[0].v, received - mu)
+        assert np.array_equal(simulate(config, MODULE, payload, (lambda v: v,))[0].v, received - mu)
 
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
     def test_error_count_identical(self, overrides):
@@ -636,42 +646,45 @@ class TestTiedCentroids:
         assert detected.tolist() == [0, 1, 2, 2, 2, 2, 2]
 
 
-class TestWaveformKeyword:
-    """The plain receiver builds the waveform only on request, and decides the same either way."""
+class TestReceiverList:
+    """The receiver list alone decides what a cell keeps, and no entry changes another's decisions."""
 
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
-    def test_waveform_changes_no_decision(self, overrides):
+    def test_plain_trace_independent_of_other_receivers(self, overrides):
+        """A plain entry beside an identity, a PostDistortionConfig or a callable post_distort (the
+        eye's and the sweeps' receivers) decides as the plain-only run, bit for bit."""
         config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 32, **overrides})
         payload = payload_bits(2 * (BLOCK_SYMBOLS + 500), 10)
-        (lean,) = simulate(config, MODULE, payload)
-        (full,) = simulate(config, MODULE, payload, waveform=True)
-        assert lean.v is None
-        assert full.v.size == (config.training_symbols + payload.size // 2) * config.samples_per_symbol
-        for field in ("stats", "centroids", "thresholds", "detected"):
-            assert np.array_equal(getattr(lean, field), getattr(full, field)), field
-        assert lean.report == full.report
-
-    @pytest.mark.parametrize("lpf", [None, 2.5e5])
-    def test_plain_trace_independent_of_other_receivers(self, lpf):
-        """The sweeps slice (None, post) pairs; their plain trace is the plain-only one bit for bit."""
-        config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=lpf, seed=42)
-        payload = payload_bits(2 * (BLOCK_SYMBOLS + 500), 11)
-        cfg = PostDistortionConfig(operating_lux=350.0, gain_cap=4.0)
+        cfg = PostDistortionConfig(config.tx_dc_lux + config.dcl_lux + config.ambient_lux, gain_cap=4.0)
         (alone,) = simulate(config, MODULE, payload)
-        paired, _ = simulate(config, MODULE, payload, (None, lambda v: post_distort(v, MODULE, cfg)))
-        (full,) = simulate(config, MODULE, payload, waveform=True)
-        assert np.array_equal(paired.v, full.v)
+        assert alone.v is None
         assert not alone.stats.flags.writeable   # shared by every plain entry
-        for field in ("stats", "centroids", "thresholds", "detected"):
-            assert np.array_equal(getattr(alone, field), getattr(paired, field)), field
-        assert alone.report == paired.report
+        for others in [(lambda v: v,), (cfg,), (lambda v: post_distort(v, MODULE, cfg),)]:
+            plain, other = simulate(config, MODULE, payload, (None, *others))
+            assert plain.v is None
+            for field in ("stats", "centroids", "thresholds", "detected"):
+                assert np.array_equal(getattr(alone, field), getattr(plain, field)), field
+            assert alone.report == plain.report
 
-    @pytest.mark.parametrize("waveform", [False, True])
-    def test_unindexable_samples_per_symbol_rejected(self, waveform):
+    @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
+    def test_identity_returns_the_read_only_waveform(self, overrides):
+        """The identity postprocess hands out the AC-coupled waveform, and decides as the plain receiver."""
+        config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 32, **overrides})
+        payload = payload_bits(2 * (BLOCK_SYMBOLS + 500), 10)
+        plain, identity = simulate(config, MODULE, payload, (None, lambda v: v))
+        assert identity.v.size == (config.training_symbols + payload.size // 2) * config.samples_per_symbol
+        assert not identity.v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            identity.v[0] = 0.0
+        assert identity.report == plain.report
+        assert np.array_equal(identity.detected, plain.detected)
+
+    @pytest.mark.parametrize("receivers", [(None,), (lambda v: v,)], ids=["plain", "identity"])
+    def test_unindexable_samples_per_symbol_rejected(self, receivers):
         """A size numpy cannot allocate fails naming the field, before any array is built."""
         config = LinkConfig(samples_per_symbol=10**30)
         with pytest.raises(ValueError, match="samples_per_symbol 10{30} is too large"):
-            simulate(config, MODULE, payload_bits(20, 1), waveform=waveform)
+            simulate(config, MODULE, payload_bits(20, 1), receivers)
         # here the block buffer alone is beyond numpy's limit
         config = LinkConfig(samples_per_symbol=np.iinfo(np.intp).max // (8 * BLOCK_SYMBOLS) + 1)
         with pytest.raises(ValueError, match="samples_per_symbol .* is too large"):
@@ -710,14 +723,14 @@ class TestPostDistortionEntry:
 
     @pytest.mark.parametrize("lpf", [None, 5e5])
     def test_trace_independent_of_other_receivers(self, lpf):
-        """The entry reads the raw waveform before simulate AC-couples it for a callable or for waveform=True."""
+        """The entry reads the raw waveform before simulate AC-couples it for a callable."""
         config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=lpf, seed=44)
         payload = payload_bits(2 * (BLOCK_SYMBOLS + 500), 14)
         cfg = PostDistortionConfig(operating_lux=350.0)
         post = lambda v: post_distort(v, MODULE, cfg)  # noqa: E731
         (alone,) = simulate(config, MODULE, payload, (cfg,))
         traces = [simulate(config, MODULE, payload, (post, cfg))[1], simulate(config, MODULE, payload, (cfg, post))[0],
-                  simulate(config, MODULE, payload, (cfg,), waveform=True)[0]]
+                  simulate(config, MODULE, payload, (lambda v: v, cfg))[1]]
         for trace in traces:
             assert trace.v is None
             for field in ("stats", "centroids", "thresholds", "detected"):
@@ -762,8 +775,8 @@ class TestSharedRealization:
             v *= 2.0
             return v
 
-        # a postprocess returns a new array, whatever the receiver list; so
-        # the plain trace's waveform cannot change after it was read
+        # a postprocess returns a new array, whatever the receiver list, so
+        # no entry can change the waveform another entry reads
         for postprocesses in [(in_place,), (in_place, in_place), (None, in_place)]:
             with pytest.raises(ValueError, match="read-only"):
                 simulate(quiet_config(), MODULE, payload_bits(2000, 1), postprocesses)
