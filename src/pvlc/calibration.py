@@ -4,8 +4,10 @@ The measured curve V(L) = N*n*v_t*ln(a*L + 1) is identified by two
 parameters only: the ideality factor n and the gain ratio a = eta/i0.
 Illuminance data cannot separate eta from i0 (they enter the model only
 through a), so the fitter estimates (n, a); `to_i0` backs out i0 once an
-externally calibrated eta is supplied.  Value rules and the scale N*v_t
-come from `pvlc.device`'s classes; this module checks only file formats.
+externally calibrated eta is supplied.  Value rules come from `pvlc.device`:
+its classes, and `check_number` for the samples, the fit result, eta and
+the model card's rmse; the scale N*v_t is `ModuleSpec.scale`.  This module's
+own checks are on file formats only.
 """
 
 import csv
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .device import ModuleSpec, PVCellParams, is_finite
+from .device import ModuleSpec, PVCellParams, check_number
 
 # fit configuration
 N_BOUNDS = (0.5, 5.0)          # ideality factor search range
@@ -52,9 +54,7 @@ class ResponseSample:
 
     def __post_init__(self):
         for name in ("lux", "volts"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            check_number(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ class FitResult:
     cost_history: tuple = ()
 
     def __post_init__(self):
-        if not (self.n_hat > 0 and self.a_hat > 0 and self.rmse >= 0):
-            raise ValueError("invalid fit result")
+        check_number("n_hat", self.n_hat, 0, strict=True)
+        check_number("a_hat", self.a_hat, 0, strict=True)
+        check_number("rmse", self.rmse, 0)
 
 
 def load_samples(source):
@@ -228,9 +229,7 @@ def _initial_guess(lux, volts, prefactor):
 
 def to_i0(fit: FitResult, eta: float) -> float:
     """Back out the saturation current i0 = eta / a_hat, amperes."""
-    if not (is_finite(eta) and eta > 0):
-        raise ValueError(f"eta must be a finite number > 0, got {eta!r}")
-    return eta / fit.a_hat
+    return check_number("eta", eta, 0, strict=True) / fit.a_hat
 
 
 MODEL_CARD_FIELDS = {"cell_count", "n", "i0", "eta", "temperature", "fit"}
@@ -278,12 +277,8 @@ def load_model_card(source) -> ModuleSpec:
         raise SchemaError("model card 'fit' must contain exactly rmse and converged")
     if card["fit"]["converged"] is not True:
         raise SchemaError(f"model card converged must be true, got {card['fit']['converged']!r}")
-    rmse = card["fit"]["rmse"]
-    if not is_finite(rmse):
-        raise SchemaError(f"model card rmse must be a finite number, got {rmse!r}")
-    if rmse < 0:
-        raise SchemaError("model card rmse must be >= 0")
     try:
+        check_number("rmse", card["fit"]["rmse"], 0)
         params = PVCellParams(n=card["n"], i0=card["i0"], eta=card["eta"], temperature=card["temperature"])
         return ModuleSpec(cell_count=card["cell_count"], params=params)
     except ValueError as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import ModuleSpec, first_derivative, is_finite, module_voltage
+from .device import ModuleSpec, check_number, first_derivative, is_finite, module_voltage
 
 DEFAULT_GAIN_CAP = 4.0
 
@@ -49,8 +49,7 @@ class PostDistortionConfig:
     gain_cap: float = DEFAULT_GAIN_CAP
 
     def __post_init__(self):
-        if not (is_finite(self.operating_lux) and self.operating_lux > 0):
-            raise ValueError(f"operating_lux must be a finite number > 0, got {self.operating_lux!r}")
+        check_number("operating_lux", self.operating_lux, 0, strict=True)
         if not ((is_finite(self.gain_cap) or self.gain_cap == math.inf) and self.gain_cap >= 1):
             raise ValueError(f"gain_cap must be a number >= 1 or math.inf, got {self.gain_cap!r}")
 
@@ -103,8 +102,8 @@ def post_distort(v_ac, spec: ModuleSpec, cfg: PostDistortionConfig):
     flat = v_ac.ravel()
     rms = float(np.sqrt(np.einsum("i,i->", flat, flat) / flat.size))
     mean = float(v_ac.mean())
-    if not abs(mean) <= 1e-6 * rms:   # a NaN sample makes both NaN, and fails the test
-        raise ValueError(f"input must be AC-coupled (zero mean) and hold no NaN, got mean {mean!r}")
+    if not abs(mean) <= 1e-6 * rms < math.inf:   # a NaN sample makes both NaN, an inf one makes rms inf
+        raise ValueError(f"input must be AC-coupled (zero mean) and hold no NaN or inf, got mean {mean!r}")
     # every step runs in place on one new array
     bounds = clip_bounds(0.0, spec, cfg)
     out = invert_clipped(v_ac, np.empty(v_ac.shape), bounds, spec)

@@ -3,8 +3,9 @@
 A single cell converts illuminance to an open-circuit voltage through the
 diode equation: V = n*v_t*ln(eta*L/i0 + 1).  A module of N identical cells
 in series multiplies that voltage by N; `ModuleSpec.scale` is N*n*v_t.  The
-classes, `is_finite` and `check_count` hold the input rules the other modules
-reuse.  All operations here are pure functions, valid for scalars or numpy arrays.
+classes, `is_finite`, `check_count` (integers) and `check_number` (real values
+with a lower bound) hold the input rules the other modules reuse.  All
+operations here are pure functions, valid for scalars or numpy arrays.
 """
 
 import math
@@ -38,6 +39,13 @@ def check_count(name, value, minimum):
     return value
 
 
+def check_number(name, value, minimum, strict=False):
+    """`value` if it passes `is_finite` and is >= `minimum` (> with `strict`), else a ValueError."""
+    if not (is_finite(value) and (value > minimum if strict else value >= minimum)):
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PVCellParams:
     """Electrical parameters of one PV cell.
@@ -55,10 +63,7 @@ class PVCellParams:
 
     def __post_init__(self):
         for name in ("n", "i0", "eta", "temperature"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(check_number(name, getattr(self, name), 0, strict=True)))
 
     @property
     def v_t(self) -> float:
@@ -90,10 +95,8 @@ class CellElectrical:
     r_shunt: float
 
     def __post_init__(self):
-        if not (is_finite(self.i_ph) and self.i_ph >= 0):
-            raise ValueError(f"photocurrent must be >= 0, got {self.i_ph}")
-        if not (is_finite(self.r_shunt) and self.r_shunt > 0):
-            raise ValueError(f"shunt resistance must be > 0, got {self.r_shunt}")
+        check_number("i_ph", self.i_ph, 0)
+        check_number("r_shunt", self.r_shunt, 0, strict=True)
 
 
 def _as_lux_array(lux, allow_zero=True):

@@ -54,7 +54,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .compensation import PostDistortionConfig, affine_tail, clip_bounds, invert_clipped
-from .device import ModuleSpec, Q_E, check_count, is_finite, module_voltage
+from .device import ModuleSpec, Q_E, check_count, check_number, module_voltage
 
 FEC_BER_THRESHOLD = 2.0e-2
 BIT_RATE = 1e6   # the paper's 1 Mbit/s; 2 bits per PAM4 symbol
@@ -90,24 +90,14 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("mod_index", "tx_dc_lux", "dcl_lux", "ambient_lux",
-                     "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"):
-            value = getattr(self, name)
-            if not (is_finite(value) or (name == "lpf_cutoff_hz" and value is None)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
         check_count("samples_per_symbol", self.samples_per_symbol, 2)
-        if not (0 < self.mod_index <= 1):
-            raise ValueError(f"mod_index must be in (0, 1], got {self.mod_index}")
-        if not (self.tx_dc_lux > 0):
-            raise ValueError("tx_dc_lux must be > 0")
-        if self.dcl_lux < 0 or self.ambient_lux < 0:
-            raise ValueError("dcl_lux and ambient_lux must be >= 0")
-        if self.thermal_sigma_v < 0:
-            raise ValueError("thermal_sigma_v must be >= 0")
-        if self.noise_bandwidth_hz < 0:
-            raise ValueError("noise_bandwidth_hz must be >= 0")
-        if self.lpf_cutoff_hz is not None and not (self.lpf_cutoff_hz > 0):
-            raise ValueError("lpf_cutoff_hz must be positive or None")
+        if check_number("mod_index", self.mod_index, 0, strict=True) > 1:
+            raise ValueError(f"mod_index must be in (0, 1], got {self.mod_index!r}")
+        check_number("tx_dc_lux", self.tx_dc_lux, 0, strict=True)
+        for name in ("dcl_lux", "ambient_lux", "thermal_sigma_v", "noise_bandwidth_hz"):
+            check_number(name, getattr(self, name), 0)
+        if self.lpf_cutoff_hz is not None:
+            check_number("lpf_cutoff_hz", self.lpf_cutoff_hz, 0, strict=True)
         check_count("training_symbols", self.training_symbols, 64)
         check_count("seed", self.seed, 0)
 

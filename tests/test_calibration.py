@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ class TestFitResponse:
         assert time.perf_counter() - start < 0.1
 
 
+class TestFitResult:
+    FIELDS = dict(n_hat=1.5, a_hat=20.0, rmse=0.0, iterations=1, converged=True)
+
+    @pytest.mark.parametrize("field", ["n_hat", "a_hat", "rmse"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True, -1], ids=["inf", "nan", "True", "-1"])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number") as exc:
+            FitResult(**{**self.FIELDS, field: value})
+        assert str(exc.value).endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("field", ["n_hat", "a_hat"])
+    def test_estimates_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0, got 0$"):
+            FitResult(**{**self.FIELDS, field: 0})
+
+
 class TestToI0:
     def test_backs_out_saturation_current(self):
         fit = FitResult(n_hat=1.5, a_hat=20.0, rmse=0.0, iterations=1, converged=True)
@@ -282,7 +299,7 @@ class TestModelCard:
         save_model_card(self.spec(), self.fit(), path)
         card = json.loads(path.read_text())
         card["fit"]["rmse"] = -1e-4
-        with pytest.raises(SchemaError, match="rmse must be >= 0"):
+        with pytest.raises(SchemaError, match=r"^model card rmse must be a finite number >= 0, got -0\.0001$"):
             load_model_card(json.dumps(card).encode())
 
     def test_not_json(self):

@@ -51,7 +51,15 @@ class TestPostDistort:
         """One NaN sample makes the mean and the RMS NaN; the zero-mean check rejects it by name."""
         v = np.sin(np.linspace(0.0, 4.0 * math.pi, 64, endpoint=False)) * 1e-3
         v[where] = np.nan
-        with pytest.raises(ValueError, match="hold no NaN, got mean nan"):
+        with pytest.raises(ValueError, match="hold no NaN or inf, got mean nan"):
+            post_distort(v, MODULE, PostDistortionConfig(operating_lux=350.0))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_sample_rejected(self, value):
+        """One inf sample makes the RMS inf, so a clip to a finite output cannot hide it."""
+        v = np.sin(np.linspace(0.0, 4.0 * math.pi, 64, endpoint=False)) * 1e-3
+        v[3] = value
+        with pytest.raises(ValueError, match=f"hold no NaN or inf, got mean {value!r}$"):
             post_distort(v, MODULE, PostDistortionConfig(operating_lux=350.0))
 
     def test_gain_cap_bounds_noise_amplification(self):

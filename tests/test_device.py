@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pvlc.device import (
     CellElectrical,
     check_count,
+    check_number,
     ModuleSpec,
     PVCellParams,
     cell_voltage,
@@ -60,16 +63,17 @@ class TestParams:
         assert module_voltage(250.0, spec) == pytest.approx(spec.scale * np.log1p(250.0 * PARAMS.eta / PARAMS.i0))
 
     def test_invalid_cell_electrical(self):
-        with pytest.raises(ValueError):
-            CellElectrical(i_ph=-1e-3, r_shunt=100.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^i_ph must be a finite number >= 0, got -0\.001$"):
+            CellElectrical(-1e-3, 1.0)
+        with pytest.raises(ValueError, match=r"^r_shunt must be a finite number > 0, got 0\.0$"):
             CellElectrical(i_ph=1e-3, r_shunt=0.0)
+        assert CellElectrical(i_ph=0, r_shunt=1e-3).i_ph == 0
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, True, "1.0"])
     def test_cell_electrical_fields_must_be_finite(self, value):
-        with pytest.raises(ValueError, match="photocurrent must be >= 0"):
+        with pytest.raises(ValueError, match="i_ph must be a finite number >= 0"):
             CellElectrical(i_ph=value, r_shunt=1.0)
-        with pytest.raises(ValueError, match="shunt resistance must be > 0"):
+        with pytest.raises(ValueError, match="r_shunt must be a finite number > 0"):
             CellElectrical(i_ph=1.0, r_shunt=value)
 
 
@@ -84,6 +88,27 @@ class TestCheckCount:
         with pytest.raises(ValueError) as exc:
             check_count("count", value, 2)
         assert str(exc.value) == f"count must be an integer >= 2, got {value!r}"
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value,minimum,strict", [(0, 0, False), (0.0, 0, False), (1e-300, 0, True),
+                                                      (np.float64(2.0), 2, False), (np.int64(3), 2, True),
+                                                      (2**1000, 1, True), (-1.5, -2, True)])
+    def test_number_at_or_above_minimum_returned(self, value, minimum, strict):
+        assert check_number("x", value, minimum, strict) is value
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1", None, [1.0], math.nan, math.inf, -math.inf,
+                                       10**400, -1, 0, 0.0])
+    def test_everything_else_rejected(self, value):
+        with pytest.raises(ValueError) as exc:
+            check_number("x", value, 0, strict=True)
+        assert str(exc.value) == f"x must be a finite number > 0, got {value!r}"
+
+    @pytest.mark.parametrize("value", [-1e-3, math.nan, False])
+    def test_non_strict_message(self, value):
+        with pytest.raises(ValueError) as exc:
+            check_number("x", value, 0)
+        assert str(exc.value) == f"x must be a finite number >= 0, got {value!r}"
 
 
 class TestPhotocurrent:

@@ -56,14 +56,27 @@ class TestLinkConfig:
                                        "thermal_sigma_v", "noise_bandwidth_hz", "lpf_cutoff_hz"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 10**400], ids=["nan", "inf", "10**400"])
     def test_non_finite_number_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number")) as exc:
             LinkConfig(**{field: value})
+        assert str(exc.value).endswith(f", got {value!r}")
 
     @pytest.mark.parametrize("field,value", [("mod_index", "0.3"), ("dcl_lux", None), ("ambient_lux", None),
                                              ("thermal_sigma_v", True), ("tx_dc_lux", [425.0])])
     def test_non_number_rejected(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a finite number")) as exc:
             LinkConfig(**{field: value})
+        assert str(exc.value).endswith(f", got {value!r}")
+
+    @pytest.mark.parametrize("field,value", [
+        ("tx_dc_lux", 0), ("tx_dc_lux", -5.0), ("dcl_lux", -1e-3), ("ambient_lux", -1e-3),
+        ("thermal_sigma_v", -1e-3), ("noise_bandwidth_hz", -1e-3), ("lpf_cutoff_hz", 0),
+        ("mod_index", 0), ("mod_index", 1.5),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        """Each range rule names the field and the value it rejected."""
+        with pytest.raises(ValueError, match=f"^{field} must be ") as exc:
+            LinkConfig(**{field: value})
+        assert str(exc.value).endswith(f", got {value!r}")
 
     def test_bit_rate_is_not_a_field(self):
         """The bit rate is the constant BIT_RATE; lpf_cutoff_hz is the one bandwidth knob."""
@@ -150,6 +163,9 @@ class TestCheckBits:
         np.array([255, 0], dtype=np.uint8),
         np.array([0.0, 0.5]),
         np.array([0.0, np.nan]),
+        np.array(["0", "1"]),
+        np.array([b"0", b"1"]),
+        np.array([None, 1], dtype=object),
     ])
     def test_non_binary_rejected(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
