@@ -4,7 +4,9 @@ The measured curve V(L) = N*n*v_t*ln(a*L + 1) is identified by two
 parameters only: the ideality factor n and the gain ratio a = eta/i0.
 Illuminance data cannot separate eta from i0 (they enter the model only
 through a), so the fitter estimates (n, a); `to_i0` backs out i0 once an
-externally calibrated eta is supplied.  Value rules come from `pvlc.device`:
+externally calibrated eta is supplied.  The model is linear in n, so the
+fit is a variable projection: for each a the best n is a least-squares
+ratio, and only log a is searched.  Value rules come from `pvlc.device`:
 its classes, and `check_number` for the samples, the fit result, eta and
 the model card's rmse; the scale N*v_t is `ModuleSpec.scale`.  This module's
 own checks are on file formats only.
@@ -13,6 +15,7 @@ own checks are on file formats only.
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -27,7 +30,7 @@ from .device import ModuleSpec, PVCellParams, check_number
 N_BOUNDS = (0.5, 5.0)          # ideality factor search range
 A_BOUNDS = (1e-4, 1e6)         # gain ratio search range, 1/lux
 MAX_ITERATIONS = 200
-STEP_TOLERANCE = 1e-8          # relative parameter change declaring convergence
+STEP_TOLERANCE = 1e-8          # step in log a (relative change of a) declaring convergence
 INIT_GRID_A = 10.0 ** np.arange(-2, 4)   # 1e-2 .. 1e3 per lux
 
 AMBIENT_OFFSET_WARN_V = 1e-3   # zero-lux voltage above this suggests stray light
@@ -61,9 +64,11 @@ class ResponseSample:
 class FitResult:
     """Outcome of a response fit.
 
-    cost_history holds the residual sum of squares after each accepted
-    optimizer step (first entry is the initial guess) and is diagnostic
-    only.
+    iterations counts the accepted Gauss-Newton steps in log a, and
+    cost_history holds the profile cost (the residual sum of squares at the
+    best n) at the best INIT_GRID_A point and after each accepted step; it
+    is diagnostic only.  converged means a step fell below STEP_TOLERANCE
+    within MAX_ITERATIONS with n and a strictly inside their bounds.
     """
 
     n_hat: float
@@ -128,9 +133,13 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
     """Least-squares fit of (n, a) to measured response samples.
 
     Needs at least 4 samples whose nonzero illuminances span a decade.
-    Optimizes log-parameters with a damped Gauss-Newton iteration so both
-    estimates stay positive; `converged` is true once the relative
-    parameter change drops below 1e-8 within the iteration budget.
+    The model is linear in n, so the fit searches log a alone (variable
+    projection): Gauss-Newton steps from the best point of INIT_GRID_A,
+    each clipped to A_BOUNDS and halved until the cost falls.  `iterations`
+    counts the accepted steps.  `converged` is true once a step falls below
+    STEP_TOLERANCE within the budget with n and a strictly inside their
+    bounds.  Raises DegenerateDataError for unidentifiable data and for
+    samples that overflow the fit's arithmetic or make it divide by zero.
     """
     # the model is prefactor * n * ln(a*L + 1); with unit n, i0 and eta, scale is N*v_t
     prefactor = ModuleSpec(cell_count, PVCellParams(1.0, 1.0, 1.0, temperature)).scale
@@ -148,83 +157,57 @@ def fit_response(samples, cell_count: int, temperature: float = 300.0) -> FitRes
             "the (n, a) pair is unidentifiable otherwise"
         )
 
-    theta = _initial_guess(lux, volts, prefactor)
-    cost = _cost(theta, lux, volts, prefactor)
-    history = [cost]
-    lam = 1e-3
-    iterations = 0
+    lo, hi = math.log(A_BOUNDS[0]), math.log(A_BOUNDS[1])
     converged = False
-
-    for _ in range(MAX_ITERATIONS):
-        r, jac = _residuals_and_jacobian(theta, lux, volts, prefactor)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        while lam < 1e14:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)) + 1e-30 * np.eye(2), -jtr)
-            if np.max(np.abs(step)) < STEP_TOLERANCE:
-                break
-            trial = _project(theta + step)
-            trial_cost = _cost(trial, lux, volts, prefactor)
-            if trial_cost < cost:
-                theta, cost = trial, trial_cost
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cost, n_hat, step, log_a = min(
+                _profile(t, lux, volts, prefactor) + (t,) for t in np.log(INIT_GRID_A).tolist())
+            history = [cost]
+            for _ in range(MAX_ITERATIONS):
+                target = min(max(log_a + step, lo), hi)
+                while abs(target - log_a) >= STEP_TOLERANCE:
+                    trial = _profile(target, lux, volts, prefactor)
+                    if trial[0] < cost:
+                        break
+                    target = log_a + (target - log_a) / 2
+                else:
+                    converged = N_BOUNDS[0] < n_hat < N_BOUNDS[1] and lo < log_a < hi
+                    break
+                (cost, n_hat, step), log_a = trial, target
                 history.append(cost)
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # a step below tolerance, or no descent step available: a stationary point
-            converged = True
-            break
-        iterations += 1
+    except FloatingPointError as exc:
+        raise DegenerateDataError(
+            f"{exc} fitting samples with volts up to {float(volts.max())!r} V "
+            f"and nonzero lux {float(nonzero.min())!r} to {float(nonzero.max())!r}"
+        ) from None
 
-    n_hat, a_hat = np.exp(theta)
-    rmse = float(np.sqrt(cost / len(samples)))
     return FitResult(
-        n_hat=float(n_hat),
-        a_hat=float(a_hat),
-        rmse=rmse,
-        iterations=iterations,
+        n_hat=n_hat,
+        a_hat=math.exp(log_a),
+        rmse=math.sqrt(cost / len(samples)),
+        iterations=len(history) - 1,
         converged=converged,
         cost_history=tuple(history),
     )
 
 
-def _residuals_and_jacobian(theta, lux, volts, prefactor):
-    n, a = np.exp(theta)
-    basis = np.log1p(a * lux)
-    model = prefactor * n * basis
-    jac = np.column_stack([model, prefactor * n * a * lux / (a * lux + 1.0)])
-    return model - volts, jac
+def _profile(log_a, lux, volts, prefactor):
+    """(cost, best n, Gauss-Newton step in log a) at one log a.
 
-
-def _cost(theta, lux, volts, prefactor):
-    """Residual sum of squares at log-parameters theta."""
-    return float(np.sum(_residuals_and_jacobian(theta, lux, volts, prefactor)[0] ** 2))
-
-
-def _project(theta):
-    lo = np.log([N_BOUNDS[0], A_BOUNDS[0]])
-    hi = np.log([N_BOUNDS[1], A_BOUNDS[1]])
-    return np.clip(theta, lo, hi)
-
-
-def _initial_guess(lux, volts, prefactor):
-    """Grid over a; the prefactor c = N*n*v_t is linear given a."""
-    best = None
-    for a in INIT_GRID_A:
-        basis = np.log1p(a * lux)
-        denom = float(basis @ basis)
-        if denom == 0.0:
-            continue
-        c = float(volts @ basis) / denom
-        n = np.clip(c / prefactor, *N_BOUNDS)
-        theta = _project(np.log([n, a]))
-        cost = _cost(theta, lux, volts, prefactor)
-        if best is None or cost < best[0]:
-            best = (cost, theta)
-    return best[1]
+    For fixed a the model prefactor*n*b, b = ln(a*L + 1), is linear in n, so
+    the best n is a least-squares ratio clipped to N_BOUNDS.  The step uses
+    Kaufman's Jacobian: the model's derivative in log a with its component
+    along b removed.
+    """
+    a_lux = math.exp(log_a) * lux
+    basis = np.log1p(a_lux)
+    bb = np.dot(basis, basis)
+    n = min(max(float(np.dot(volts, basis) / bb) / prefactor, N_BOUNDS[0]), N_BOUNDS[1])
+    residual = prefactor * n * basis - volts
+    slope = a_lux / (a_lux + 1.0)
+    jac = prefactor * n * (slope - np.dot(slope, basis) / bb * basis)
+    return float(np.dot(residual, residual)), n, float(-np.dot(jac, residual) / np.dot(jac, jac))
 
 
 def to_i0(fit: FitResult, eta: float) -> float:

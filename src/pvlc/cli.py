@@ -219,7 +219,7 @@ def _cmd_fit(merged, options):
     cells, temp, eta, out = options["cells"], options["temp"], options["eta"], Path(options["out"])
     fit = fit_response(samples, cells, temp)
     if not fit.converged:
-        print(f"error: fit did not converge within the iteration budget (rmse={fit.rmse:.3e})", file=sys.stderr)
+        print(f"error: fit did not converge inside the bounds (n={fit.n_hat:.4g}, a={fit.a_hat:.4g})", file=sys.stderr)
         return 1
     spec = ModuleSpec(cell_count=cells, params=PVCellParams(n=fit.n_hat, i0=to_i0(fit, eta), eta=eta, temperature=temp))
     save_model_card(spec, fit, out)

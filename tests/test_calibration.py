@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,10 +84,21 @@ class TestLoadSamples:
             load_samples(b"lux,volts\n0,0.05\n")
 
 
+# 5 ideality factors x 9 gain ratios x 2 cell counts x 3 lux spans = 270 cases
+RECOVERY_GRID = list(itertools.product(
+    (0.6, 1.0, 1.5, 3.0, 4.5), [10.0 ** k for k in range(-3, 6)], (1, 4),
+    ((10.0, 100.0), (10.0, 1000.0), (1.0, 1e4)),
+))
+
+# four samples over three decades of lux whose best fit lies on a bound of n or a
+BOUND_VOLTS = {"zero": [0.0] * 4, "constant": [0.3] * 4, "falling": [0.4, 0.3, 0.2, 0.1]}
+BOUND_LUX = (1.0, 10.0, 100.0, 1000.0)
+
+
 class TestFitResponse:
     def test_noiseless_recovery(self):
         fit = fit_response(synth_samples(), cell_count=1, temperature=300.0)
-        assert fit.converged
+        assert fit.converged is True
         assert fit.n_hat == pytest.approx(TRUE_N, rel=1e-6)
         assert fit.a_hat == pytest.approx(TRUE_A, rel=1e-5)
         assert fit.rmse < 1e-9
@@ -93,6 +106,46 @@ class TestFitResponse:
     def test_noiseless_recovery_multicell(self):
         fit = fit_response(synth_samples(cell_count=4), cell_count=4, temperature=300.0)
         assert fit.n_hat == pytest.approx(TRUE_N, rel=1e-6)
+
+    @pytest.mark.parametrize("n,a,cells,span", RECOVERY_GRID)
+    def test_noiseless_recovery_grid(self, n, a, cells, span):
+        lux = np.logspace(np.log10(span[0]), np.log10(span[1]), 50)
+        volts = cells * n * (K_B * 300.0 / Q_E) * np.log1p(a * lux)
+        fit = fit_response([ResponseSample(float(l), float(v)) for l, v in zip(lux, volts)], cells, 300.0)
+        assert fit.converged is True
+        assert fit.n_hat == pytest.approx(n, rel=1e-5)
+        assert fit.a_hat == pytest.approx(a, rel=1e-4)
+
+    @pytest.mark.parametrize("name", BOUND_VOLTS)
+    def test_optimum_on_a_bound_not_converged(self, name):
+        samples = [ResponseSample(l, v) for l, v in zip(BOUND_LUX, BOUND_VOLTS[name])]
+        fit = fit_response(samples, 1, 300.0)
+        assert fit.converged is False
+
+    @pytest.mark.parametrize("lux,volts,message", [
+        (BOUND_LUX, 1e200, r"overflow .* volts up to 1e\+200 V"),
+        ((1e303, 1e304, 1e305, 1e306), 0.1, r"overflow .* lux 1e\+303 to 1e\+306"),
+        ((1e-300, 1e-299, 1e-298, 1e-297), 0.1, r"lux 1e-300 to 1e-297"),
+        ((1e-160, 1e-159, 1e-158, 1e-157), 0.1, r"lux 1e-160 to 1e-157"),
+    ], ids=["huge-volts", "huge-lux", "tiny-lux", "small-lux"])
+    def test_floating_point_failure_names_samples(self, lux, volts, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match=message):
+                fit_response([ResponseSample(l, volts) for l in lux], 1, 300.0)
+
+    def test_demo_02_agrees_with_two_parameter_solver(self):
+        # demo 02's data; out/model.json held these numbers when a damped two-parameter
+        # Gauss-Newton fitted it: both fits sit on one optimum to rounding
+        rng = np.random.default_rng(7)
+        lux = np.logspace(1, 3, 50)
+        volts = 1.5 * (K_B * 300.0 / Q_E) * np.log1p(20.0 * lux) + rng.normal(0.0, 1e-3, lux.size)
+        samples = [ResponseSample(float(l), float(max(v, 0.0))) for l, v in zip(lux, volts)]
+        fit = fit_response(samples, cell_count=1, temperature=300.0)
+        assert fit.converged is True
+        assert fit.n_hat == pytest.approx(1.5033102500420235, rel=1e-9)
+        assert to_i0(fit, 2e-9) == pytest.approx(1.0245987198788629e-10, rel=1e-8)
+        assert fit.rmse == pytest.approx(0.0008775007490797232, rel=1e-12)
 
     def test_noisy_recovery_median(self):
         estimates = []

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,21 @@ class TestFit:
         code = main(["fit", str(path)])
         assert code == 1
         assert "unidentifiable" in capsys.readouterr().err
+
+    # an optimum on a bound of n or a (zero, constant, falling volts), and volts that overflow
+    @pytest.mark.parametrize("volts,message", [
+        ("0,0,0,0", "did not converge"), ("0.3,0.3,0.3,0.3", "did not converge"),
+        ("0.4,0.3,0.2,0.1", "did not converge"), ("1e200,1e200,1e200,1e200", "volts up to 1e+200 V"),
+    ], ids=["zero", "constant", "falling", "overflow"])
+    def test_unfit_data_writes_no_card(self, tmp_path, capsys, volts, message):
+        path = tmp_path / "cal.csv"
+        path.write_text("lux,volts\n" + "".join(f"{l},{v}\n" for l, v in zip((1, 10, 100, 1000), volts.split(","))))
+        out = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:
