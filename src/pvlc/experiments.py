@@ -66,7 +66,7 @@ def _check_grid(grid, name):
 
 def _curve_table(lux_grid, cell_counts, spec: ModuleSpec, curves):
     """Rows of (lux, cells, *one value per curve) for each cell count."""
-    lux_grid = np.asarray(list(lux_grid), dtype=float)
+    lux_grid = np.asarray(_check_grid(lux_grid, "lux_grid"))
     rows = []
     for cells in cell_counts:
         module = replace(spec, cell_count=cells)   # ModuleSpec checks the count
@@ -220,8 +220,9 @@ def export_eye(v, samples_per_symbol: int, traces: int):
     half their width.  Returns a (traces, 2*samples_per_symbol) array.
     """
     v = np.asarray(v, dtype=float)
-    check_count("samples_per_symbol", samples_per_symbol, 1)
-    check_count("traces", traces, 1)
+    # Python ints: the size check's product of numpy integers could overflow
+    samples_per_symbol = int(check_count("samples_per_symbol", samples_per_symbol, 1))
+    traces = int(check_count("traces", traces, 1))
     if v.size < traces * 2 * samples_per_symbol:
         raise ValueError(
             f"waveform has {v.size} samples, need at least {traces * 2 * samples_per_symbol}"

@@ -5,46 +5,27 @@ waveform -> additive DC light sources -> samplewise OE conversion with
 thermal and shot noise -> DC removal -> trained symbol slicer -> bits.
 
 `simulate` is the one staged pipeline; `run_link`, the sweeps, the CLI eye
-and the demos all call it.  Rectangular NRZ puts only four illuminances on
-the receiver, one per PAM4 level, so it evaluates the OE voltage and the
-noise variance once per level (a level table) and gathers them by symbol,
-instead of once per sample as the public `receive` does.  The noisy
-waveform is built in blocks of BLOCK_SYMBOLS symbols that draw the same
-normals in the same order as `receive`, even with both noise sources off
-(z * 0 adds +-0), so the raw waveform is bit-identical to `receive`'s.
-The plain slicer reads only each symbol's statistic and the mean, so each
-block is reduced as it is built.  mu is the sum of the block sums over
-the sample count, not numpy's pairwise mean, and the plain statistics are
-the raw ones minus mu: the samplewise `ac_couple` -> `detect_pam4`
-pipeline up to rounding, with the same error counts.  Tests compare both.
-The receiver list alone decides what a cell keeps: the waveform exists
-only for an entry that is not None, and only a callable entry, which
-returns a new array, gets it AC-coupled in place with the same mu and
-read-only.  One realization serves the plain receiver and any number of
-post-processed ones, so a plain/compensated comparison sees the same
-noise.  A `PostDistortionConfig` entry slices statistics taken block by
-block from the raw waveform, with mu folded into its clip bounds, so no
-compensated waveform exists.
-The optional single-pole low-pass takes rectangular NRZ input and runs at
-the symbol rate: one `lfilter` over each block's symbol voltages gives the
-filter's state at every symbol boundary, and each sample follows from it in
-closed form (`_single_pole_lowpass`), so `receive` and the level table
-filter alike and no sample-rate voltage array exists.
-The decision statistic sums a symbol's central samples left to right,
-which is numpy's mean bit for bit below 8 central samples and agrees with
-it to the last bits from 8 on.  Symbol-rate integers are uint8.  Without
-the waveform a cell holds one block buffer plus float64 statistics: at
-50 000 payload symbols its tracemalloc peak is about 0.29x the waveform's
-bytes (0.39x with the low-pass, which adds one block of filtered
-samples).  A plain + post-distorted pair peaks at 1.365x, with or without
-the low-pass, with a `PostDistortionConfig` entry, which holds the waveform
-and one scratch block, and at 2.36x with a callable `post_distort`, which
-holds the waveform and its compensated copy.
+and the demos all call it.  Against the public per-sample stages it keeps
+this contract, and tests compare both:
+- The raw waveform is `receive`'s bit for bit.  Rectangular NRZ puts one
+  illuminance per PAM4 level on the receiver, so the voltage and the noise
+  variance come from a four-entry level table, and the waveform is built in
+  blocks of BLOCK_SYMBOLS symbols that draw the same normals in the same
+  order, even with both noise sources off (z * 0 adds +-0).
+- mu is the in-order sum of the block sums over the sample count, not
+  numpy's pairwise mean.  The plain statistics are the raw ones minus mu:
+  the samplewise `ac_couple` -> `detect_pam4` pipeline up to rounding, with
+  the same error counts.
+- The receiver list alone decides what a cell keeps.  The waveform exists
+  only for an entry that is not None; a `PostDistortionConfig` entry
+  slices statistics taken block by block from it, and only a callable
+  entry gets it AC-coupled in place and read-only.  One realization serves
+  every receiver, so a plain/compensated comparison sees the same noise.
+- The optional single-pole low-pass needs rectangular NRZ input: it runs at
+  the symbol rate (`_single_pole_lowpass`), in `receive` as in `simulate`.
 
-The committed default noise values (thermal_sigma_v, noise_bandwidth_hz)
-are calibrated rather than measured: the effective noise bandwidth absorbs
-receiver amplification that the otherwise open-circuit voltage model does
-not represent.  See README for the calibration notes.
+The default noise values (thermal_sigma_v, noise_bandwidth_hz) are
+calibrated, not measured; see the README's calibration notes.
 """
 
 import math
@@ -252,95 +233,76 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
-def _statistics_and_sum(blocks, symbols, sps):
-    """Symbol statistics of consecutive (rows, sps) blocks, each written into its slice, and their samples' sum.
+def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, keep):
+    """AC-coupled symbol statistics of these levels' received NRZ waveform, its mean mu, and the raw waveform if kept.
 
-    The sum adds each block's `block.sum()` in order.  A block is reduced
-    before the next is drawn from `blocks`, so they may share one buffer.
+    Returns (read-only statistics, mu, raw (symbols, sps) waveform or None).
+    One loop builds the waveform, `receive`'s bit for bit, from a level
+    table, BLOCK_SYMBOLS symbols at a time.  Each block lands in its rows of
+    the whole array with `keep`, or else in one reused buffer; its
+    statistics go into their slice and its `block.sum()` onto the running
+    total before the next block is drawn.  The low-pass filters each
+    block's symbol voltages into one reused block of samples and carries
+    its state to the next.  mu is the total over the sample count.
     """
-    stats = np.empty(symbols)
-    total = 0.0
-    start = 0
-    for block in blocks:
-        symbol_statistics(block, sps, out=stats[start:start + len(block)])
-        total += block.sum()
-        start += len(block)
-    return stats, total
-
-
-def _noisy_blocks(level_indices, out, spec: ModuleSpec, config: LinkConfig, rng):
-    """Build these levels' received NRZ waveform in `out` block by block, yielding each block.
-
-    `out` holds the whole (symbols, sps) waveform or one block, which every
-    block then reuses.  The waveform, `receive`'s bit for bit, comes from a
-    level table, so no whole-cell table of per-symbol voltages or sigmas
-    exists.  The low-pass filters each block's symbol voltages into one
-    reused block of samples, carrying its state from block to block.
-    """
-    sps = config.samples_per_symbol
+    symbols, sps = level_indices.size, int(config.samples_per_symbol)   # numpy integers would overflow the check
+    rows = symbols if keep else min(symbols, BLOCK_SYMBOLS)
+    if rows * sps * 8 > np.iinfo(np.intp).max:   # numpy's limit on an array's bytes
+        raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
+                         "array exceeds numpy's maximum array size")
+    out = np.empty((rows, sps))
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
-    whole = len(out) == level_indices.size
-    lowpassed = None if config.lpf_cutoff_hz is None else np.empty((sps, min(level_indices.size, BLOCK_SYMBOLS))).T
+    lowpassed = None if config.lpf_cutoff_hz is None else np.empty((sps, min(symbols, BLOCK_SYMBOLS))).T
     lpf_state = None
-    for start in range(0, level_indices.size, BLOCK_SYMBOLS):
+    stats = np.empty(symbols)
+    total = 0.0
+    for start in range(0, symbols, BLOCK_SYMBOLS):
+        stop = min(start + BLOCK_SYMBOLS, symbols)
         # numpy gathers by intp at twice its uint8 speed
-        idx = level_indices[start:start + BLOCK_SYMBOLS].astype(np.intp)
-        block = out[start:start + BLOCK_SYMBOLS] if whole else out[: idx.size]
+        idx = level_indices[start:stop].astype(np.intp)
+        block = out[start:stop] if keep else out[: stop - start]
         v = v_level[idx]
         if lowpassed is None:
             v = v[:, None]
         else:
             v, lpf_state = _single_pole_lowpass(v, sps, config.lpf_cutoff_hz, config.sample_rate,
-                                                lpf_state, lowpassed[: idx.size])
+                                                lpf_state, lowpassed[: stop - start])
         # receive's v + z * sigma, evaluated in place: the blocks draw the
         # same normals in the same order and IEEE multiplication and
         # addition commute, so every sample carries the same bits.
         rng.standard_normal(out=block)
         block *= sigma_level[idx][:, None]
         block += v
-        yield block
-
-
-def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, waveform):
-    """AC-coupled symbol statistics of these levels' received NRZ waveform, its mean, and the waveform on request.
-
-    Returns (statistics, mu, raw (symbols, sps) waveform or None).  The
-    blocks of `_noisy_blocks` land in one reused buffer, or with `waveform`
-    in their rows of the whole array; either way they are reduced as they
-    are built, and the mean mu of their running sum is subtracted from the
-    statistics.  The waveform is returned as built, not AC-coupled.
-    """
-    sps = config.samples_per_symbol
-    rows = level_indices.size if waveform else min(level_indices.size, BLOCK_SYMBOLS)
-    if rows * sps * 8 > np.iinfo(np.intp).max:   # numpy's limit on an array's bytes
-        raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
-                         "array exceeds numpy's maximum array size")
-    out = np.empty((rows, sps))
-    blocks = _noisy_blocks(level_indices, out, spec, config, rng)
-    stats, total = _statistics_and_sum(blocks, level_indices.size, sps)
-    mu = total / (level_indices.size * sps)
+        symbol_statistics(block, sps, out=stats[start:stop])
+        total += block.sum()
+    mu = total / (symbols * sps)
     stats -= mu
     stats.flags.writeable = False   # every plain receiver of the cell shares it
-    return stats, mu, out if waveform else None
+    return stats, mu, out if keep else None
 
 
 def _post_distorted_statistics(v, mu, spec: ModuleSpec, cfg: PostDistortionConfig):
     """Symbol statistics of `post_distort(v - mu, spec, cfg)` for a raw (symbols, sps) waveform v of mean mu.
 
-    No copy of v is made: each block goes through the clipped inverse, whose
-    bounds fold in mu, into one scratch block, which is reduced to its
-    statistics and sum; the affine tail then acts on the statistics, with
-    the sum over the sample count as the mean.  Tests compare it with
-    `post_distort`.
+    No copy of v is made.  One loop takes BLOCK_SYMBOLS symbols at a time
+    through the clipped inverse, whose bounds fold in mu, into one scratch
+    block, and writes that block's statistics into their slice and adds
+    its sum to the running total.  The affine tail then acts on the
+    statistics, with the total over the sample count as the mean.  Tests
+    compare it with `post_distort`.
     """
     symbols, sps = v.shape
     bounds = clip_bounds(mu, spec, cfg)
     scratch = np.empty((min(symbols, BLOCK_SYMBOLS), sps))
-    blocks = (invert_clipped(rows, scratch[: len(rows)], bounds, spec)
-              for rows in (v[start:start + BLOCK_SYMBOLS] for start in range(0, symbols, BLOCK_SYMBOLS)))
-    stats, total = _statistics_and_sum(blocks, symbols, sps)
+    stats = np.empty(symbols)
+    total = 0.0
+    for start in range(0, symbols, BLOCK_SYMBOLS):
+        stop = min(start + BLOCK_SYMBOLS, symbols)
+        block = invert_clipped(v[start:stop], scratch[: stop - start], bounds, spec)
+        symbol_statistics(block, sps, out=stats[start:stop])
+        total += block.sum()
     return affine_tail(stats, total / v.size, bounds, spec, cfg)
 
 

@@ -293,6 +293,16 @@ class TestBoundary:
         assert flag in capsys.readouterr().err
         assert not (out / "run_manifest.json").exists()
 
+    def test_derivatives_without_positive_lux_exits_2(self, model_json, tmp_path, capsys):
+        """--lux-max below the first step leaves the derivatives no lux point above 0."""
+        out = tmp_path / "out"
+        code = main(["sweep", "derivatives", str(model_json), "--out-dir", str(out),
+                     "--lux-max", "5", "--lux-step", "10"])
+        assert code == 2
+        assert "lux_grid must not be empty" in capsys.readouterr().err
+        assert not (out / "derivatives.csv").exists()
+        assert not (out / "run_manifest.json").exists()
+
     def test_unconverged_model_card_rejected(self, model_json, capsys):
         card = json.loads(model_json.read_text())
         card["fit"]["converged"] = False

@@ -69,6 +69,19 @@ class TestResponseSweeps:
         with pytest.raises(ValueError, match=re.escape(f"cell_count must be an integer >= 1, got {count!r}")):
             sweep_response([0.0, 10.0], [1, count], MODULE)
 
+    @pytest.mark.parametrize("sweep", [sweep_response, sweep_derivatives])
+    @pytest.mark.parametrize("grid,match", [
+        ([], "lux_grid must not be empty"),
+        ([float("inf")], "lux_grid values must be finite"),
+        ([10.0, float("nan")], "lux_grid values must be finite"),
+        ([20.0, 10.0], "lux_grid must be strictly ascending"),
+        ([10.0, 20.0, 20.0], "lux_grid must be strictly ascending"),
+    ])
+    def test_lux_grid_checked_as_the_ber_grids(self, sweep, grid, match):
+        """The curve tables read their lux grid by the BER sweeps' rule, not as given."""
+        with pytest.raises(ValueError, match=match):
+            sweep(grid, [1], MODULE)
+
     def test_zero_lux_rows_zero(self):
         rows = sweep_response([0.0, 10.0, 100.0], [1, 2, 4, 8], MODULE)
         for lux, cells, volts in rows:

@@ -633,21 +633,37 @@ class TestLevelTable:
         with pytest.raises(ValueError, match="0 or 1"):
             run_link(quiet_config(), MODULE, [0, 2])
 
+    @pytest.mark.parametrize("symbols", [2256, BLOCK_SYMBOLS - 1, BLOCK_SYMBOLS, BLOCK_SYMBOLS + 1,
+                                         2 * BLOCK_SYMBOLS])
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
-    def test_fused_statistics_bit_identical(self, overrides):
-        """simulate's block-wise statistics, mu and slicer equal the public stages."""
+    def test_fused_statistics_bit_identical(self, overrides, symbols):
+        """simulate's block-wise statistics, mu and slicer equal the public stages.
+
+        The cell's symbol count, training included, sits below, at and above
+        block edges.  The plain receiver alone reuses one block buffer; beside
+        a PostDistortionConfig entry the cell keeps the whole waveform, and
+        the entry's statistics agree with `post_distort` of it to 1e-12 of
+        their largest magnitude.
+        """
         config = self.config(overrides)
+        sps = config.samples_per_symbol
         train = training_sequence(config)
-        payload = payload_bits(4000, 8)
+        payload = payload_bits(2 * (symbols - train.size), 8)
         received, _ = samplewise_pipeline(config, payload)
-        stats = symbol_statistics(received, config.samples_per_symbol)
-        stats -= blocked_mean(received, config.samples_per_symbol)
-        (trace,) = simulate(config, MODULE, payload)
-        assert np.array_equal(trace.stats, stats)
+        mu = blocked_mean(received, sps)
+        stats = symbol_statistics(received, sps)
+        stats -= mu
         centroids, thresholds = train_slicer(stats[: len(train)], train)
-        assert np.array_equal(trace.centroids, centroids)
-        assert np.array_equal(trace.thresholds, thresholds)
-        assert np.array_equal(trace.detected, _slice(stats, train)[2])
+        cfg = PostDistortionConfig(operating_lux=config.tx_dc_lux)
+        for receivers in [(None,), (None, cfg)]:
+            traces = simulate(config, MODULE, payload, receivers)
+            trace = traces[0]
+            assert np.array_equal(trace.stats, stats)
+            assert np.array_equal(trace.centroids, centroids)
+            assert np.array_equal(trace.thresholds, thresholds)
+            assert np.array_equal(trace.detected, _slice(stats, train)[2])
+        compensated = symbol_statistics(post_distort(received - mu, MODULE, cfg), sps)
+        assert np.abs(traces[1].stats - compensated).max() <= 1e-12 * np.abs(compensated).max()   # the last run's entry
 
 
 class TestTiedCentroids:
@@ -701,6 +717,10 @@ class TestReceiverList:
         config = LinkConfig(samples_per_symbol=10**30)
         with pytest.raises(ValueError, match="samples_per_symbol 10{30} is too large"):
             simulate(config, MODULE, payload_bits(20, 1), receivers)
+        # a numpy integer too: the size is checked in Python ints, which do not overflow
+        config = LinkConfig(samples_per_symbol=np.int64(2**62))
+        with pytest.raises(ValueError, match=f"samples_per_symbol {2**62} is too large"):
+            simulate(config, MODULE, payload_bits(20, 1), receivers)
         # here the block buffer alone is beyond numpy's limit
         config = LinkConfig(samples_per_symbol=np.iinfo(np.intp).max // (8 * BLOCK_SYMBOLS) + 1)
         with pytest.raises(ValueError, match="samples_per_symbol .* is too large"):
@@ -710,11 +730,13 @@ class TestReceiverList:
 class TestPostDistortionEntry:
     """A PostDistortionConfig entry slices statistics taken block by block, as the callable post_distort decides."""
 
+    @pytest.mark.parametrize("symbols", [2 * BLOCK_SYMBOLS + 1256, 2 * BLOCK_SYMBOLS])
     @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
     @pytest.mark.parametrize("lpf", [None, 5e5], ids=["lpf-as-listed", "lpf-5e5"])
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
-    def test_equals_callable_post_distort(self, overrides, lpf, gain_cap):
-        """Over two full blocks and a partial one; the statistics agree to 1e-12 of their largest magnitude.
+    def test_equals_callable_post_distort(self, overrides, lpf, gain_cap, symbols):
+        """Over two full blocks and a partial one, or exactly two (training included); the statistics
+        agree to 1e-12 of their largest magnitude.
 
         At mod_index 1 the gain cap clips levels 1 to 3 (2 and 3 with the
         low-pass) to one value, so their trained centroids coincide up to
@@ -722,7 +744,7 @@ class TestPostDistortionEntry:
         """
         overrides = {**overrides, "lpf_cutoff_hz": lpf} if lpf else overrides
         config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 33, **overrides})
-        payload = payload_bits(2 * (2 * BLOCK_SYMBOLS + 1000), 12)
+        payload = payload_bits(2 * (symbols - config.training_symbols), 12)
         cfg = PostDistortionConfig(config.tx_dc_lux + config.dcl_lux + config.ambient_lux, gain_cap)
         (alone,) = simulate(config, MODULE, payload)
         _, called = simulate(config, MODULE, payload, (None, lambda v: post_distort(v, MODULE, cfg)))

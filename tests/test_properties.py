@@ -167,6 +167,7 @@ COUNT_SITES = {
 @example(value=8.0)
 @example(value="8")
 @example(value=np.int64(0))
+@example(value=np.uint64(2**62))   # a product of numpy integers would overflow
 @pytest.mark.parametrize("name", list(COUNT_SITES))
 def test_count_argument_accepts_what_check_count_accepts(name, value):
     minimum, call = COUNT_SITES[name]

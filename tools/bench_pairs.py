@@ -24,7 +24,8 @@ and its median moved the `better` way by more than that range.  The file
 also records the machine: nproc and the Python, numpy and scipy versions.  A call for another workload adds
 it to the same file.  A call for a workload already there, on the same two
 revisions, adds its pairs to the stored ones (a seed run again replaces its
-pair).
+pair).  A call that would leave a workload with fewer than two pairs stops
+before its first run.
 """
 
 import argparse
@@ -86,8 +87,18 @@ def main(argv=None):
     bench = json.loads((Path(args.change) / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
+    seeds = seed_range(args.seeds)
+    path = Path(args.out_dir) / f"BENCH_{args.topic}.json"
+    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"topic": args.topic, "workloads": {}}
+    revisions = {side: revision(checkout) for side, checkout in checkouts.items()}
+    stored = data["workloads"].get(args.workload)
+    same = stored is not None and stored["revisions"] == revisions
+    kept = [pair for pair in stored["pairs"] if pair["seed"] not in seeds] if same else []
+    if len(kept) + len(seeds) < 2:   # summarise takes quartiles, so this is checked before any run
+        parser.error(f"{args.workload} would have {len(kept) + len(seeds)} pair(s) in {path} on these revisions, "
+                     "and its quartiles need at least 2: give more seeds")
     pairs = []
-    for k, seed in enumerate(seed_range(args.seeds)):
+    for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
@@ -96,13 +107,7 @@ def main(argv=None):
         print(f"{args.workload} seed {seed}: " + ", ".join(
             f"{m['name']} {pair['parent'][m['name']]:.6g}/{pair['change'][m['name']]:.6g}" for m in bench["end_to_end"]))
 
-    path = Path(args.out_dir) / f"BENCH_{args.topic}.json"
-    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"topic": args.topic, "workloads": {}}
-    revisions = {side: revision(checkout) for side, checkout in checkouts.items()}
-    stored = data["workloads"].get(args.workload)
-    if stored and stored["revisions"] == revisions:
-        seeds = {pair["seed"] for pair in pairs}
-        pairs = [pair for pair in stored["pairs"] if pair["seed"] not in seeds] + pairs
+    pairs = kept + pairs
     data["machine"] = {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")}
     data["workloads"][args.workload] = {
