@@ -15,10 +15,11 @@ subtracts the mean, which removes that constant (the expm1's -1), and
 scales by the slope, into which the constant factor folds.  The re-bias by
 v_dc and the AC coupling by mu fold into the clip bounds (`clip_bounds`,
 once per waveform), so no pass over the samples adds or subtracts either.
-`post_distort` passes mu = 0 for its AC-coupled input; a
-`PostDistortionConfig` entry of `link.simulate` passes the cell's mean,
-reads the raw waveform block by block and applies the tail to the symbol
-statistics.
+`post_distort` passes mu = 0 for its AC-coupled input.  A
+`PostDistortionConfig` entry of `link.simulate` inverts each raw block
+unclipped as it is built, and applies the tail to the symbol statistics;
+where the cell's mean puts a sample beyond the bounds, the cell draws the
+same blocks again through them.
 
 The operating point is supplied by the caller: transmitter DC, bias light
 and ambient level are all configuration, so the receiver knows the total
@@ -67,11 +68,12 @@ def invert_clipped(v, out, bounds, spec: ModuleSpec):
     """post_distort's elementwise part: exp(clip(v, *bounds) / (N*n*v_t)), into `out` (which may be v).
 
     That is the clipped exact inverse up to a constant factor and offset,
-    which `affine_tail` deals with (see the module docstring).
+    which `affine_tail` deals with (see the module docstring).  Bounds None
+    clip nothing, which gives the same bits if no sample lies beyond them.
     """
-    np.clip(v, *bounds, out=out)
-    out *= 1.0 / spec.scale
-    return np.exp(out, out=out)
+    if bounds is not None:
+        v = np.clip(v, *bounds, out=out)
+    return np.exp(np.multiply(v, 1.0 / spec.scale, out=out), out=out)
 
 
 def affine_tail(x, mean, bounds, spec: ModuleSpec, cfg: PostDistortionConfig):

@@ -7,8 +7,8 @@ indistinguishable from serial.  With n_jobs = N the cells run on the
 calling thread plus N - 1 pool threads in one process and share one
 read-only payload; their numpy and scipy work releases the interpreter
 lock.  Repeated cells are summarized by their median BER.  A post-distorted
-cell keeps one raw waveform, and its compensated receiver slices statistics
-taken block by block from it, never a second whole waveform.
+cell keeps no whole waveform: its compensated receiver takes statistics of
+each block's inverse as the block is built.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -135,7 +135,7 @@ def _median_bers(points, base_config, spec, repetitions, payload_symbols, n_jobs
     """
     for name, count in (("repetitions", repetitions), ("payload_symbols", payload_symbols), ("n_jobs", n_jobs)):
         check_count(name, count, 1)
-    bits = payload_bits(2 * payload_symbols, base_config.seed)
+    bits = payload_bits(2 * int(payload_symbols), base_config.seed)   # a numpy integer could overflow
     bits.flags.writeable = False
     cells = []
     for tx, m, dcl in points:
@@ -202,10 +202,10 @@ def sweep_postdistortion(
 ):
     """Plain versus post-distorted BER on identical noise realizations.
 
-    Each (m, rep) cell builds one noisy waveform and slices it twice: as
-    received, and by post-distorted statistics sliced block by block from
-    the same waveform, with no compensated copy.  So the two columns differ
-    only by the compensation.
+    Each (m, rep) cell builds one noisy waveform block by block and slices
+    it twice: by its statistics as received, and by the statistics of each
+    block's post-distorted inverse, with no whole waveform kept.  So the two
+    columns differ only by the compensation.
     """
     m_grid = _check_grid(m_grid, "m_grid")
     points = [(base_config.tx_dc_lux, m, base_config.dcl_lux) for m in m_grid]

@@ -16,11 +16,11 @@ this contract, and tests compare both:
   numpy's pairwise mean.  The plain statistics are the raw ones minus mu:
   the samplewise `ac_couple` -> `detect_pam4` pipeline up to rounding, with
   the same error counts.
-- The receiver list alone decides what a cell keeps.  The waveform exists
-  only for an entry that is not None; a `PostDistortionConfig` entry
-  slices statistics taken block by block from it, and only a callable
-  entry gets it AC-coupled in place and read-only.  One realization serves
-  every receiver, so a plain/compensated comparison sees the same noise.
+- The receiver list alone decides what a cell keeps.  Only a callable
+  entry keeps the waveform, AC-coupled in place and read-only.  A
+  `PostDistortionConfig` entry inverts each block while it is hot,
+  unclipped, and again from the same draws if mu's clip bounds cut a
+  sample.  One realization serves every receiver.
 - The optional single-pole low-pass needs rectangular NRZ input: it runs at
   the symbol rate (`_single_pole_lowpass`), in `receive` as in `simulate`.
 
@@ -233,17 +233,21 @@ def receive(l_rx, spec: ModuleSpec, config: LinkConfig, rng):
     return v + rng.standard_normal(l_rx.size) * np.sqrt(variance)
 
 
-def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, keep):
-    """AC-coupled symbol statistics of these levels' received NRZ waveform, its mean mu, and the raw waveform if kept.
+def _received(level_indices, spec: ModuleSpec, config: LinkConfig, keep, clips):
+    """AC-coupled symbol statistics of these levels' received NRZ waveform, its mean mu, and what rides along.
 
-    Returns (read-only statistics, mu, raw (symbols, sps) waveform or None).
-    One loop builds the waveform, `receive`'s bit for bit, from a level
-    table, BLOCK_SYMBOLS symbols at a time.  Each block lands in its rows of
-    the whole array with `keep`, or else in one reused buffer; its
-    statistics go into their slice and its `block.sum()` onto the running
-    total before the next block is drawn.  The low-pass filters each
-    block's symbol voltages into one reused block of samples and carries
-    its state to the next.  mu is the total over the sample count.
+    Returns (read-only statistics, mu, raw (symbols, sps) waveform or None,
+    a (statistics, mean) of `invert_clipped` per entry of `clips`, and the
+    least and greatest raw sample).  One loop builds the waveform from
+    `default_rng(config.seed)`, `receive`'s bit for bit, from a level table,
+    BLOCK_SYMBOLS symbols at a time, into its rows of the whole array with
+    `keep`, or else into one reused buffer.  Each clip's bounds (None for
+    no clip) take the block through the inverse into a scratch block of its
+    own.  The statistics of the block and of each inverse go into their
+    slices and their sums onto running totals before the next block is
+    drawn; the means are the totals over the sample count.  The low-pass
+    filters each block's symbol voltages into one reused block of samples
+    and carries its state to the next.
     """
     symbols, sps = level_indices.size, int(config.samples_per_symbol)   # numpy integers would overflow the check
     rows = symbols if keep else min(symbols, BLOCK_SYMBOLS)
@@ -251,13 +255,15 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, keep):
         raise ValueError(f"samples_per_symbol {sps} is too large: a {rows} x {sps} float64 "
                          "array exceeds numpy's maximum array size")
     out = np.empty((rows, sps))
+    scratch = np.empty((len(clips), min(symbols, BLOCK_SYMBOLS), sps))
     level_lux = channel(config.tx_dc_lux * (1.0 + config.mod_index * LEVELS), config)
     v_level, variance_level = _voltage_and_variance(level_lux, spec, config)
     sigma_level = np.sqrt(variance_level)
     lowpassed = None if config.lpf_cutoff_hz is None else np.empty((sps, min(symbols, BLOCK_SYMBOLS))).T
     lpf_state = None
-    stats = np.empty(symbols)
-    total = 0.0
+    rng = np.random.default_rng(config.seed)
+    stats = np.empty((1 + len(clips), symbols))   # the plain statistics, then one row per clip
+    totals, low, high = [0.0] * len(stats), math.inf, -math.inf
     for start in range(0, symbols, BLOCK_SYMBOLS):
         stop = min(start + BLOCK_SYMBOLS, symbols)
         # numpy gathers by intp at twice its uint8 speed
@@ -275,35 +281,17 @@ def _received(level_indices, spec: ModuleSpec, config: LinkConfig, rng, keep):
         rng.standard_normal(out=block)
         block *= sigma_level[idx][:, None]
         block += v
-        symbol_statistics(block, sps, out=stats[start:stop])
-        total += block.sum()
-    mu = total / (symbols * sps)
-    stats -= mu
-    stats.flags.writeable = False   # every plain receiver of the cell shares it
-    return stats, mu, out if keep else None
-
-
-def _post_distorted_statistics(v, mu, spec: ModuleSpec, cfg: PostDistortionConfig):
-    """Symbol statistics of `post_distort(v - mu, spec, cfg)` for a raw (symbols, sps) waveform v of mean mu.
-
-    No copy of v is made.  One loop takes BLOCK_SYMBOLS symbols at a time
-    through the clipped inverse, whose bounds fold in mu, into one scratch
-    block, and writes that block's statistics into their slice and adds
-    its sum to the running total.  The affine tail then acts on the
-    statistics, with the total over the sample count as the mean.  Tests
-    compare it with `post_distort`.
-    """
-    symbols, sps = v.shape
-    bounds = clip_bounds(mu, spec, cfg)
-    scratch = np.empty((min(symbols, BLOCK_SYMBOLS), sps))
-    stats = np.empty(symbols)
-    total = 0.0
-    for start in range(0, symbols, BLOCK_SYMBOLS):
-        stop = min(start + BLOCK_SYMBOLS, symbols)
-        block = invert_clipped(v[start:stop], scratch[: stop - start], bounds, spec)
-        symbol_statistics(block, sps, out=stats[start:stop])
-        total += block.sum()
-    return affine_tail(stats, total / v.size, bounds, spec, cfg)
+        if clips:
+            low, high = min(low, block.min()), max(high, block.max())
+        inverses = [invert_clipped(block, x[: stop - start], clip, spec) for x, clip in zip(scratch, clips)]
+        for k, x in enumerate([block, *inverses]):
+            symbol_statistics(x, sps, out=stats[k, start:stop])
+            totals[k] += x.sum()
+    means = [total / (symbols * sps) for total in totals]
+    plain = stats[0]
+    plain -= means[0]
+    plain.flags.writeable = False   # every plain receiver of the cell shares it
+    return plain, means[0], out if keep else None, list(zip(stats[1:], means[1:])), (low, high)
 
 
 def ac_couple(v):
@@ -431,14 +419,16 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
 
     Returns one LinkTrace per entry, all from one noise realization.  An
     entry of None is the plain receiver, which slices block statistics; a
-    `PostDistortionConfig` entry slices post-distorted statistics of the raw
-    waveform, with the mean folded into its clip bounds; a callable entry
+    `PostDistortionConfig` entry slices post-distorted statistics of each
+    raw block, with the mean folded into its clip bounds; a callable entry
     returns a new array from the AC-coupled waveform (the identity
     `lambda v: v` returns that waveform itself).  Any other entry is a
-    TypeError before any work.  The list alone decides what the cell keeps:
-    an entry that is not None keeps the raw waveform, and only a callable
-    entry gets it AC-coupled in place and read-only.  Deterministic for a
-    fixed config (the RNG derives from config.seed).  Errors are counted per
+    TypeError before any work.  Only a callable entry keeps the raw
+    waveform, AC-coupled in place and read-only.  A `PostDistortionConfig`
+    entry is inverted unclipped as the waveform is built; if a sample lies
+    beyond its clip bounds, or the inverse overflowed, the cell draws the
+    same waveform again through the bounds.  Deterministic for a fixed
+    config (the RNG derives from config.seed).  Errors are counted per
     symbol: a decision costs as many bits as its Gray code differs from the
     sent dibit in.
     """
@@ -452,12 +442,18 @@ def simulate(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocesses=(
     sent = _dibits(payload_bits)
     train = training_sequence(config)
     levels = np.concatenate([train, _gray(sent)])
-    rng = np.random.default_rng(config.seed)
-    plain, mu, v = _received(levels, spec, config, rng, any(entry is not None for entry in postprocesses))
-    # post-distorted statistics read the raw waveform, before any AC coupling
-    entry_stats = [_post_distorted_statistics(v, mu, spec, entry) if isinstance(entry, PostDistortionConfig)
-                   else plain for entry in postprocesses]
-    if any(map(callable, postprocesses)):
+    cfgs = [entry for entry in postprocesses if isinstance(entry, PostDistortionConfig)]
+    # an overflow leaves an inf that fails the check below, and the rerun warns as post_distort would
+    with np.errstate(over="ignore" if cfgs else None):
+        plain, mu, v, inverses, (low, high) = _received(levels, spec, config, any(map(callable, postprocesses)),
+                                                        [None] * len(cfgs))
+    clips = [clip_bounds(mu, spec, cfg) for cfg in cfgs]
+    # the unclipped inverse is the clipped one if no sample lies beyond a bound and nothing overflowed
+    if not all(lo <= low and high <= hi and math.isfinite(mean) for (lo, hi), (_, mean) in zip(clips, inverses)):
+        inverses = _received(levels, spec, config, False, clips)[3]   # the same draws, so the same mu
+    compensated = iter([affine_tail(x, mean, b, spec, cfg) for (x, mean), b, cfg in zip(inverses, clips, cfgs)])
+    entry_stats = [next(compensated) if isinstance(e, PostDistortionConfig) else plain for e in postprocesses]
+    if v is not None:
         v -= mu   # ac_couple, in place
         v.flags.writeable = False
     traces = []
@@ -478,7 +474,7 @@ def run_link(config: LinkConfig, spec: ModuleSpec, payload_bits, postprocess=Non
     """BerReport of one link run (`simulate` with a single receiver).
 
     `postprocess`, when given, is a `simulate` entry: a `PostDistortionConfig`,
-    which reads the raw waveform, or a callable, which gets it AC-coupled and
-    read-only and returns a new array.  Without one the cell keeps no waveform.
+    which inverts each raw block as it is built, or a callable, which gets the
+    whole waveform AC-coupled and read-only and returns a new array.
     """
     return simulate(config, spec, payload_bits, (postprocess,))[0].report

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -640,10 +641,10 @@ class TestLevelTable:
         """simulate's block-wise statistics, mu and slicer equal the public stages.
 
         The cell's symbol count, training included, sits below, at and above
-        block edges.  The plain receiver alone reuses one block buffer; beside
-        a PostDistortionConfig entry the cell keeps the whole waveform, and
-        the entry's statistics agree with `post_distort` of it to 1e-12 of
-        their largest magnitude.
+        block edges.  The plain receiver reuses one block buffer, alone or
+        beside a PostDistortionConfig entry, which inverts each block as it
+        is built: its statistics agree with `post_distort` of the whole
+        waveform to 1e-12 of their largest magnitude.
         """
         config = self.config(overrides)
         sps = config.samples_per_symbol
@@ -728,10 +729,11 @@ class TestReceiverList:
 
 
 class TestPostDistortionEntry:
-    """A PostDistortionConfig entry slices statistics taken block by block, as the callable post_distort decides."""
+    """A PostDistortionConfig entry slices statistics of each block's inverse, taken as the block is built
+    (unclipped, or from the same draws again through the clip bounds), as the callable post_distort decides."""
 
     @pytest.mark.parametrize("symbols", [2 * BLOCK_SYMBOLS + 1256, 2 * BLOCK_SYMBOLS])
-    @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
+    @pytest.mark.parametrize("gain_cap", [1.0, 4.0, math.inf])
     @pytest.mark.parametrize("lpf", [None, 5e5], ids=["lpf-as-listed", "lpf-5e5"])
     @pytest.mark.parametrize("overrides", LEVEL_TABLE_CASES)
     def test_equals_callable_post_distort(self, overrides, lpf, gain_cap, symbols):
@@ -740,7 +742,9 @@ class TestPostDistortionEntry:
 
         At mod_index 1 the gain cap clips levels 1 to 3 (2 and 3 with the
         low-pass) to one value, so their trained centroids coincide up to
-        each path's rounding; the slicer decides tied centroids alike.
+        each path's rounding; the slicer decides tied centroids alike.  A
+        gain cap of 1 puts the ceiling at the mean, so every cell clips and
+        takes the second run through the bounds.
         """
         overrides = {**overrides, "lpf_cutoff_hz": lpf} if lpf else overrides
         config = LinkConfig(**{"tx_dc_lux": 200.0, "mod_index": 0.1, "seed": 33, **overrides})
@@ -774,6 +778,22 @@ class TestPostDistortionEntry:
             for field in ("stats", "centroids", "thresholds", "detected"):
                 assert np.array_equal(getattr(trace, field), getattr(alone, field)), field
             assert trace.report == alone.report
+
+    @pytest.mark.parametrize("gain_cap", [4.0, math.inf])
+    def test_overflow_warns_as_post_distort(self, gain_cap):
+        """Samples of tens of volts overflow the unclipped exp.  Under a finite ceiling the cell draws
+        its blocks again through the bounds with no warning; with none, that run warns as post_distort does."""
+        config = LinkConfig(tx_dc_lux=350.0, thermal_sigma_v=10.0, seed=2)
+        payload = payload_bits(10_000, 1)
+        cfg = PostDistortionConfig(350.0, gain_cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if gain_cap == math.inf:
+                with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+                    simulate(config, MODULE, payload, (None, cfg))
+            else:
+                report = run_link(config, MODULE, payload, postprocess=cfg)
+                assert report == run_link(config, MODULE, payload, postprocess=lambda v: post_distort(v, MODULE, cfg))
 
     def test_run_link_takes_the_entry(self):
         config = LinkConfig(tx_dc_lux=350.0, mod_index=0.2, lpf_cutoff_hz=5e5, seed=43)
@@ -840,16 +860,16 @@ class TestSymbolMemory:
         assert np.array_equal(bits_to_levels(b.astype(dtype)), np.array([0, 1, 3, 2])[dibits])
 
     @pytest.mark.parametrize("second,lpf,budget", [
-        (None, None, 0.35), ("callable", None, 2.5), (None, 5e5, 0.5), ("config", None, 1.5), ("config", 5e5, 1.5),
+        (None, None, 0.35), ("callable", None, 2.5), (None, 5e5, 0.5), ("config", None, 0.75), ("config", 5e5, 0.75),
     ], ids=["plain", "plain+post", "plain-lpf", "plain+postcfg", "plain+postcfg-lpf"])
     def test_peak_memory_within_budget(self, second, lpf, budget):
         """tracemalloc peak of one cell at 50 000 payload symbols, in waveform bytes.
 
         A plain cell builds no waveform (measured 0.29x, 0.39x with the
-        low-pass).  A pair with a PostDistortionConfig entry holds the
-        waveform and one scratch block (1.365x, with or without the
-        low-pass); with a callable post_distort, the waveform and its
-        compensated copy (2.36x).
+        low-pass).  Nor does a pair with a PostDistortionConfig entry: it
+        holds a second row of statistics and one scratch block (0.50x, 0.60x
+        with the low-pass).  A pair with a callable post_distort holds the
+        waveform and its compensated copy (2.36x).
         """
         config = LinkConfig(seed=3, lpf_cutoff_hz=lpf)
         payload = payload_bits(100_000, 3)   # built before tracing: the sweeps share it
